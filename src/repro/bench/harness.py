@@ -16,7 +16,9 @@ Instead of re-parsing and re-curing per tool, the harness keeps a
 module-level cache of pristine parses and cures keyed by
 ``(workload, scale)`` resp. ``(workload, scale, CureOptions)`` and
 deep-copies a cached tree on every use — same isolation, a fraction
-of the cost.  All measurements are deterministic (the cost model is
+of the cost (a whole-tree ``copy.deepcopy`` is one pickle round trip,
+:func:`repro.cil.program.deepcopy_tree`).  All measurements are
+deterministic (the cost model is
 exact), so a table regenerates identically on every run; the harness
 exploits the same determinism to memoize whole *measurements*: a
 ``(workload, scale, engine, max_steps, tool, optimize-level,
@@ -46,6 +48,7 @@ from repro.cache import (canonical_options, cure_key, get_cache,
 from repro.cil.program import Program
 from repro.core import CureOptions, CuredProgram, cure as _cure
 from repro.cpp import PreprocessError
+from repro.frontend import parse_preprocessed
 from repro.interp import ExecResult, run_cured, run_raw
 from repro.runtime.checks import (CheckFailure, InterpreterLimitError,
                                   MemorySafetyError)
@@ -145,16 +148,18 @@ def cached_source(w: Workload) -> str:
 def _preprocessed(w: Workload,
                   scale: Optional[int]) -> tuple[str, tuple]:
     """The preprocessed source text and the lint-suppression set —
-    exactly what :meth:`Workload.parse` would feed the C parser, and
-    therefore the content half of the workload's disk-cache key."""
+    what the C parser consumes, and the content half of the
+    workload's disk-cache key (traced as a ``preprocess`` span)."""
     key = (w.name, scale if scale is not None else w.scale)
     got = _PP_CACHE.get(key)
     if got is None:
         from repro.cpp.preprocessor import Preprocessor
+        from repro.obs.tracer import TRACER
         from repro.workloads import PROGRAM_DIR
-        pp = Preprocessor([PROGRAM_DIR], w._defines(scale))
-        text = pp.preprocess(cached_source(w),
-                             filename=w.name + ".c")
+        filename = w.name + ".c"
+        with TRACER.span("preprocess", file=filename):
+            pp = Preprocessor([PROGRAM_DIR], w._defines(scale))
+            text = pp.preprocess(cached_source(w), filename=filename)
         got = (text, tuple(sorted(pp.lint_suppressions)))
         _PP_CACHE[key] = got
     return got
@@ -164,22 +169,23 @@ def pristine_parse(w: Workload,
                    scale: Optional[int] = None) -> Program:
     """The shared pristine parse — read/interpret only, never cure.
 
-    Backed by the content-addressed disk cache: a warm process skips
-    the preprocessor-to-lowering pipeline entirely and unpickles the
-    stored tree (traced as a ``parse`` span with ``cached=True``)."""
+    The source is preprocessed once, for the content-addressed disk
+    cache's key and, on a miss, for the parser.  A warm process skips
+    parsing and lowering and unpickles the stored tree (traced as a
+    ``parse`` span with ``cached=True``)."""
     key = (w.name, scale if scale is not None else w.scale)
     prog = _PARSE_CACHE.get(key)
     if prog is None:
+        text, sup = _preprocessed(w, scale)
         disk = get_cache()
         dkey = None
         if disk.enabled:
-            text, sup = _preprocessed(w, scale)
             dkey = parse_key(text, sup, w.name)
             from repro.obs.tracer import TRACER
             with TRACER.span("parse", name=w.name, cached=True):
                 prog = disk.load(dkey)
         if prog is None:
-            prog = w.parse(scale)
+            prog = parse_preprocessed(text, w.name + ".c", w.name, sup)
             if dkey is not None:
                 disk.store(dkey, prog)
         _PARSE_CACHE[key] = prog

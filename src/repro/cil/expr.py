@@ -38,6 +38,15 @@ class Varinfo:
         self.vid = Varinfo._next_id
         Varinfo._next_id = Varinfo._next_id + 1
 
+    def __setstate__(self, state: dict) -> None:
+        # An unpickled variable keeps the id its creating process gave
+        # it (a cure-cache load).  Reserve that id, so variables made
+        # here afterwards (a grafted fault fragment) never share it:
+        # the engines key register variables and homes by id.
+        self.__dict__.update(state)
+        if self.vid >= Varinfo._next_id:
+            Varinfo._next_id = self.vid + 1
+
     def __repr__(self) -> str:
         return self.name
 

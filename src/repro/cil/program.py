@@ -2,11 +2,43 @@
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+import copy
+import gc
+import pickle
+from typing import Iterator, Optional, Sequence, TypeVar
 
 from repro.cil.expr import Varinfo
 from repro.cil.stmt import Fundec, Init
 from repro.cil.types import CompInfo, CType, EnumInfo
+
+_Tree = TypeVar("_Tree")
+
+
+def deepcopy_tree(tree: _Tree, memo: dict) -> _Tree:
+    """``copy.deepcopy`` of a whole tree (a :class:`Program` or a
+    :class:`~repro.core.curer.CuredProgram`).
+
+    A top-level copy round-trips the tree through the C pickler instead
+    of ``copy``'s per-object Python recursion.  Trees already round-trip
+    through pickle in the cure cache, so this adds no serialization
+    contract.  The cyclic collector is paused meanwhile: every object
+    the load builds is live, so a collection during it is wasted work.
+    A copy nested in a larger deepcopy (non-empty ``memo``) takes the
+    generic walk, so it keeps sharing objects with the enclosing copy.
+    """
+    if memo:
+        cls = type(tree)
+        clone = cls.__new__(cls)
+        memo[id(tree)] = clone
+        clone.__dict__.update(copy.deepcopy(tree.__dict__, memo))
+        return clone
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return pickle.loads(pickle.dumps(tree, pickle.HIGHEST_PROTOCOL))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class Global:
@@ -128,6 +160,9 @@ class Program:
     def pragmas(self, name: str) -> list[GPragma]:
         return [g for g in self.globals
                 if isinstance(g, GPragma) and g.name == name]
+
+    def __deepcopy__(self, memo: dict) -> "Program":
+        return deepcopy_tree(self, memo)
 
     def __repr__(self) -> str:
         return (f"<program {self.name}: {len(self.functions)} functions, "

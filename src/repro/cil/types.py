@@ -309,6 +309,14 @@ class CompInfo:
         if fields is not None:
             self.set_fields(fields)
 
+    def __setstate__(self, state: dict) -> None:
+        # Like Varinfo ids: an unpickled composite reserves its key, so
+        # a struct declared here afterwards never takes the same
+        # identity (``TComp.sig``).
+        self.__dict__.update(state)
+        if self.key >= CompInfo._next_key:
+            CompInfo._next_key = self.key + 1
+
     def set_fields(self, fields: Iterable[FieldInfo]) -> None:
         self.fields = list(fields)
         for f in self.fields:

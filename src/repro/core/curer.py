@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Union
 
 from repro.cil import stmt as S
 from repro.cil.printer import program_to_c
-from repro.cil.program import Program
+from repro.cil.program import Program, deepcopy_tree
 from repro.core.casts import CastCensus
 from repro.core.constraints import Analysis, generate
 from repro.core.options import CureOptions
@@ -46,6 +46,9 @@ class CuredProgram:
         self.checks_removed = 0
         #: the check-elimination level the pipeline actually ran
         self.optimize_level = "none"
+
+    def __deepcopy__(self, memo: dict) -> "CuredProgram":
+        return deepcopy_tree(self, memo)
 
     # -- conveniences ------------------------------------------------------
 

@@ -5,7 +5,7 @@ The whole-program entry points here produce a single
 which is the unit CCured's whole-program inference operates on.
 """
 
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from pycparser import c_parser
 
@@ -13,8 +13,8 @@ from repro.cil.program import Program
 from repro.cpp import Preprocessor
 from repro.frontend.lower import Lowerer, UnsupportedCError, fresh_type
 
-__all__ = ["parse_program", "parse_files", "Lowerer",
-           "UnsupportedCError", "fresh_type"]
+__all__ = ["parse_program", "parse_files", "parse_preprocessed",
+           "Lowerer", "UnsupportedCError", "fresh_type"]
 
 
 def parse_program(source: str, name: str = "program",
@@ -38,10 +38,29 @@ def parse_files(sources: Sequence[tuple[str, str]], name: str = "program",
             with TRACER.span("preprocess", file=filename):
                 pp = Preprocessor(include_dirs, defines)
                 text = pp.preprocess(source, filename=filename)
-            lowerer.prog.lint_suppressions |= pp.lint_suppressions
-            # pycparser chokes on #pragma lines at certain positions
-            # only if malformed; ours are kept verbatim and parsed as
-            # Pragma nodes.
-            ast = parser.parse(text, filename=filename)
-            lowerer.lower_file(ast)
+            _lower_unit(lowerer, parser, filename, text,
+                        pp.lint_suppressions)
         return lowerer.prog
+
+
+def parse_preprocessed(text: str, filename: str, name: str = "program",
+                       lint_suppressions: Iterable[tuple[str, int]] = ()
+                       ) -> Program:
+    """Parse one already-preprocessed translation unit into a lowered
+    whole program; ``lint_suppressions`` are the ``(file, line)`` pairs
+    its preprocessor collected."""
+    from repro.obs.tracer import TRACER
+    with TRACER.span("parse", name=name, files=1):
+        lowerer = Lowerer(name=name)
+        _lower_unit(lowerer, c_parser.CParser(), filename, text,
+                    lint_suppressions)
+        return lowerer.prog
+
+
+def _lower_unit(lowerer: Lowerer, parser: c_parser.CParser,
+                filename: str, text: str,
+                lint_suppressions: Iterable[tuple[str, int]]) -> None:
+    lowerer.prog.lint_suppressions.update(lint_suppressions)
+    # pycparser chokes on #pragma lines at certain positions only if
+    # malformed; ours are kept verbatim and parsed as Pragma nodes.
+    lowerer.lower_file(parser.parse(text, filename=filename))

@@ -39,10 +39,11 @@ counting and error behaviour exactly — the differential test in
 ``(status, stdout, cycles, steps)`` on every workload, which is what
 licenses using the fast engine for the paper's measurements.
 
-The cache is a :class:`weakref.WeakKeyDictionary` keyed by ``Fundec``
-so compiled code never outlives its tree and ``copy.deepcopy`` of a
-program (the bench harness's cache discipline) never drags closures
-bound to the original tree into the copy.
+The cache is a :class:`weakref.WeakKeyDictionary` keyed by ``Fundec``,
+beside the tree rather than in it: compiled code never outlives its
+tree, and a deep copy of a program (a pickle round trip, the bench
+harness's cache discipline) starts uncompiled instead of carrying
+closures bound to the original tree.
 """
 
 from __future__ import annotations

@@ -169,6 +169,76 @@ def test_stale_payload_version_is_invalidated(fresh_cache):
     assert fresh_cache.session.invalidated >= 1
 
 
+def test_cold_parse_preprocesses_once(fresh_cache, monkeypatch):
+    # The content key and the parser share one preprocessing pass.
+    from repro.cil.printer import program_to_c
+    from repro.cpp import Preprocessor
+    from repro.obs.tracer import TRACER
+    w = get(W)
+    files = []
+    real = Preprocessor.preprocess
+
+    def counting(self, source, filename="<input>"):
+        files.append(filename)
+        return real(self, source, filename)
+
+    monkeypatch.setattr(Preprocessor, "preprocess", counting)
+    with TRACER.capture() as records:
+        prog = pristine_parse(w)
+    monkeypatch.undo()
+    assert files.count(w.name + ".c") == 1
+    assert [r.name for r in records].count("preprocess") == 1
+    assert fresh_cache.session.stores == 1
+    assert program_to_c(prog) == program_to_c(w.parse())
+
+
+_WARM_GRAFT = """
+import copy, json
+from repro.bench.harness import pristine_parse
+from repro.cache import get_cache
+from repro.faults.campaign import run_variant
+from repro.faults.mutators import graft, make_variant
+from repro.workloads import get
+
+w = get("spec_compress")
+spec = make_variant(w.name, "invalid-free", 1)
+prog = copy.deepcopy(pristine_parse(w))
+graft(prog, spec)
+found = list(prog.global_vars.values()) + list(prog.externals.values())
+for fd in prog.fundecs():
+    found += [fd.svar, *fd.formals, *fd.locals]
+distinct = {id(v): v for v in found}.values()
+vr = run_variant(w, spec)
+print(json.dumps({"vars": len(distinct),
+                  "vids": len({v.vid for v in distinct}),
+                  "hits": get_cache().session.hits,
+                  "caught": vr.caught, "agree": vr.engines_agree}))
+"""
+
+
+def test_warm_cache_graft_keeps_variable_ids_distinct(tmp_path):
+    # A tree loaded from another process's cache entry keeps that
+    # process's Varinfo ids; the fault fragment parsed after the load
+    # must not reuse them (the engines key registers by id).
+    import json
+    import subprocess
+    import sys
+
+    import repro
+    env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path / "cache"),
+               PYTHONPATH=os.path.dirname(os.path.dirname(
+                   os.path.abspath(repro.__file__))))
+    env.pop("REPRO_CACHE", None)
+    runs = [json.loads(subprocess.run(
+        [sys.executable, "-c", _WARM_GRAFT], env=env, check=True,
+        capture_output=True, text=True, timeout=300).stdout)
+        for _ in ("cold", "warm")]
+    assert runs[0]["hits"] == 0 and runs[1]["hits"] >= 1
+    for run in runs:
+        assert run["vids"] == run["vars"], run
+        assert run["caught"] and run["agree"], run
+
+
 def test_disabled_cache_stores_nothing(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "off"))
     monkeypatch.setenv("REPRO_CACHE", "off")
