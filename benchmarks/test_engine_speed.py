@@ -3,14 +3,10 @@ oracle on Spec-like workloads.
 
 The interpreter is the measurement instrument, so its raw speed bounds
 how much experiment the suite can afford.  This benchmark measures
-steps/second of both engines on the same programs, asserts the closure
-engine actually pays for itself, and writes the numbers to
-``BENCH_interp.json`` at the repo root so engine regressions are
-visible in review diffs.
+steps/second of both engines on the same programs and asserts the
+closure engine actually pays for itself.  ``repro bench`` records the
+same cells in the ``BENCH_history.jsonl`` ledger.
 """
-
-import json
-import os
 
 import pytest
 
@@ -25,11 +21,6 @@ from benchutil import run_once
 #: test_spec_overhead via the harness cache
 WORKLOAD_NAMES = tuple(name for name, _scale in SUITE)
 SCALES = dict(SUITE)
-
-_RESULTS: dict[str, dict] = {}
-
-_OUT_PATH = os.path.join(os.path.dirname(__file__), "..",
-                         "BENCH_interp.json")
 
 
 def _measure(w, mode, engine):
@@ -54,25 +45,9 @@ def test_engine_speed(benchmark, name, mode):
 
     speedup = (tree["seconds"] / clos["seconds"]
                if clos["seconds"] else float("inf"))
-    _RESULTS[f"{name}:{mode}"] = {
-        "tree": tree, "closures": clos,
-        "speedup": round(speedup, 2),
-    }
     # loose bound: the closure engine must never regress below the
     # tree walker (it is typically 2.5-4x faster; wall-clock noise on
     # a loaded CI box motivates the slack)
     assert speedup > 1.2, (
         f"{name} ({mode}): closures only {speedup:.2f}x vs tree")
 
-
-def test_write_bench_json():
-    """Persist the measurements collected above."""
-    assert _RESULTS, "speed tests did not run"
-    payload = {
-        "description": "interpreter engine speed: tree walker vs "
-                       "closure compiler (steps/sec, wall seconds)",
-        "results": _RESULTS,
-    }
-    with open(_OUT_PATH, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")

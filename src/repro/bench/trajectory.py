@@ -1,12 +1,11 @@
 """The benchmark-trajectory ledger: a pinned micro-suite, an
 append-only history, and a noise-tolerant regression gate.
 
-``BENCH_interp.json`` is a snapshot; this module is the longitudinal
-instrument.  ``repro bench`` re-runs the same pinned steps/sec
-micro-suite the benchmark tests use (same workloads, same scales, same
-pristine-tree machinery, both engines on both raw and cured programs)
-and appends one schema-tagged record per run to
-``BENCH_history.jsonl`` — a trajectory, not a point.
+``repro bench`` re-runs the same pinned steps/sec micro-suite the
+benchmark tests use (same workloads, same scales, same pristine-tree
+machinery, both engines on both raw and cured programs) and appends
+one schema-tagged record per run to ``BENCH_history.jsonl`` — a
+trajectory, not a point.
 
 ``repro bench diff`` then gates a current record against a committed
 baseline with the split the metrics gate taught us:

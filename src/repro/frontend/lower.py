@@ -19,7 +19,9 @@ flow.  The properties the analysis relies on are established here:
   (the escape hatch of Section 3 of the paper).
 
 Unsupported constructs (goto, setjmp, bitfields, real switch
-fall-through) raise :class:`UnsupportedCError` with a source location.
+fall-through, ``continue`` inside a switch, ``break``/``continue``
+with no target) raise :class:`UnsupportedCError` with a source
+location.
 """
 
 from __future__ import annotations
@@ -154,6 +156,9 @@ class Lowerer:
         self._forbid_effects = False
         #: (file, line) of the statement currently being lowered.
         self._cur_loc: Optional[tuple[str, int]] = None
+        #: the enclosing ``break``/``continue`` targets, innermost
+        #: last: "loop" or "switch"
+        self._targets: list[str] = []
 
     # ------------------------------------------------------------------
     # Scope handling
@@ -571,8 +576,16 @@ class Lowerer:
             ret.loc = loc
             b.add(ret)
         elif isinstance(node, c_ast.Break):
+            if not self._targets:
+                raise UnsupportedCError("break outside a loop or switch",
+                                        node)
             b.add(S.Break())
         elif isinstance(node, c_ast.Continue):
+            if "loop" not in self._targets:
+                raise UnsupportedCError("continue outside a loop", node)
+            if self._targets[-1] == "switch":
+                # the switch's run-once Loop would take the continue
+                raise UnsupportedCError("continue inside a switch", node)
             b.add(S.Continue())
         elif isinstance(node, c_ast.Switch):
             self._switch(node)
@@ -595,6 +608,14 @@ class Lowerer:
         finally:
             self.builder = saved
 
+    def _within(self, target: str, fn) -> None:
+        """Lower ``fn``'s statements inside a ``break`` target."""
+        self._targets.append(target)
+        try:
+            fn()
+        finally:
+            self._targets.pop()
+
     def _loop(self, cond_node, body_node, post, test_first: bool) -> None:
         """Lower while/do/for into CIL's ``Loop`` + explicit break test."""
         assert self.builder is not None
@@ -616,7 +637,7 @@ class Lowerer:
                 # placing post inside a trailing block. Continue jumps to
                 # the end of Loop body in our interpreter, which runs the
                 # post expression placed after the user body.
-                self.statement(body_node)
+                self._within("loop", lambda: self.statement(body_node))
             if post is not None:
                 self.expr_effect(post)
             if not test_first and cond_node is not None:
@@ -710,7 +731,7 @@ class Lowerer:
                 for s in sts:
                     self.statement(s)
 
-            return self.in_new_block(build)
+            return self.in_new_block(lambda: self._within("switch", build))
 
         default_body = S.Block()
         if arms and None in arms[-1][0]:

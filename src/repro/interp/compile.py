@@ -30,6 +30,21 @@ nested closure calls.  Generated sources keep all varying quantities
 distinct source *shapes* hits a module-level code-object cache and
 compilation stays cheap.
 
+Control flow travels as return values, not exceptions.  A statement
+runner returns ``None`` to fall through, the ``_BREAK`` or
+``_CONTINUE`` sentinel for ``break``/``continue``, and ``(value,)``
+for ``return value``.  A block stops at the first non-``None``
+signal and returns it, an ``If`` returns its branch's, a ``Loop``
+consumes break and continue (running the ``continue_runs_trailing``
+tail on continue) and passes a return up, and
+``Interpreter._call_fundec`` unwraps the tuple.  The front end rejects
+a ``break``/``continue`` with no enclosing target, so only
+fall-through or a return ever leaves a function body.  Unwinding an
+exception through the nested runners cost ten times a plain return;
+the tree walker keeps its ``_Break``/``_Continue``/``_Return``
+exceptions, because as the oracle it should share as little of this
+machinery as possible.
+
 The closures are compiled per ``cured`` mode and parameterized over
 ``(ip, frame)`` so one compilation is shared by every
 :class:`~repro.interp.interp.Interpreter` over the same tree.  The
@@ -56,8 +71,7 @@ from repro.cil import stmt as S
 from repro.cil import types as T
 from repro.core.qualifiers import PointerKind
 from repro.runtime.checks import (BoundsError, DanglingPointerError,
-                                  InterpreterLimitError, LinkError,
-                                  MemorySafetyError,
+                                  LinkError, MemorySafetyError,
                                   NullDereferenceError, ProgramAbort,
                                   WildTagError)
 from repro.runtime.cost import (CHECK_COSTS, COST_MEM_WORD,
@@ -66,11 +80,7 @@ from repro.runtime.cost import (CHECK_COSTS, COST_MEM_WORD,
 from repro.runtime.memory import PtrMeta
 from repro.runtime.values import PtrVal
 
-# The compiled closures raise the same control-flow exceptions as the
-# tree walker, so the two engines can call into each other (e.g. a
-# compiled Call dispatching into a builtin that calls back).
-from repro.interp.interp import (_Break, _Continue, _Return,
-                                 _CMP_OPS, _FLOAT_OPS, _INT_OPS,
+from repro.interp.interp import (_CMP_OPS, _FLOAT_OPS, _INT_OPS,
                                  _is_register_type)
 
 #: compiled bodies per Fundec, keyed by the ``cured`` flag.  Weak keys:
@@ -78,12 +88,15 @@ from repro.interp.interp import (_Break, _Continue, _Return,
 _CACHE: "weakref.WeakKeyDictionary[S.Fundec, dict[bool, Callable]]" = \
     weakref.WeakKeyDictionary()
 
-_STEP_MSG = "step budget exceeded"
+#: control signals a statement runner returns for ``break`` and
+#: ``continue``; ``None`` falls through and ``return v`` yields ``(v,)``
+_BREAK = "break"
+_CONTINUE = "continue"
 
 
 def compiled_body(fd: S.Fundec, cured: bool) -> Callable:
-    """The compiled body runner ``(ip, frame) -> None`` for ``fd``,
-    compiling on first use."""
+    """The compiled body runner ``(ip, frame) -> None | (value,)`` for
+    ``fd``, compiling on first use."""
     per_fd = _CACHE.get(fd)
     if per_fd is None:
         per_fd = {}
@@ -140,8 +153,6 @@ _STEP_HEAD = (
     "    ip.steps += 1\n"
     "    if ip.steps > ip._limit_at:\n"
     "        ip._over_limit()\n")
-
-_STEP_ENV: dict = {}
 
 #: comparison operators by symbol (fast path inlines the operator)
 _CMP_SYM = {
@@ -310,7 +321,8 @@ class _Compiler:
 
     def block_body(self, b: S.Block) -> Callable:
         """Runner for a statement list *without* a step charge for the
-        block itself (If branches, loop bodies, function bodies)."""
+        block itself (If branches, loop bodies, function bodies); it
+        stops at, and returns, the first statement's signal."""
         stmts = tuple(self.stmt(s) for s in b.stmts)
         if not stmts:
             return _noop
@@ -319,7 +331,10 @@ class _Compiler:
 
         def run(ip, f):
             for s in stmts:
-                s(ip, f)
+                r = s(ip, f)
+                if r is not None:
+                    return r
+            return None
         return run
 
     def stmt(self, s: S.Stmt) -> Callable:
@@ -339,21 +354,16 @@ class _Compiler:
                 ip.steps += 1
                 if ip.steps > ip._limit_at:
                     ip._over_limit()
-                body(ip, f)
+                return body(ip, f)
             return run
-        if cls is S.Break:
+        if cls is S.Break or cls is S.Continue:
+            signal = _BREAK if cls is S.Break else _CONTINUE
+
             def run(ip, f):
                 ip.steps += 1
                 if ip.steps > ip._limit_at:
                     ip._over_limit()
-                raise _Break()
-            return run
-        if cls is S.Continue:
-            def run(ip, f):
-                ip.steps += 1
-                if ip.steps > ip._limit_at:
-                    ip._over_limit()
-                raise _Continue()
+                return signal
             return run
 
         # Unknown statement classes: the tree walker charges the step
@@ -396,12 +406,14 @@ class _Compiler:
                "    if v.__class__ is PtrVal:\n"
                "        v = v.addr\n"
                "    if v:\n"
-               "        thenb(ip, f)\n"
-               "    else:\n"
-               "        elsb(ip, f)\n")
-        return _gen(src, {**_STEP_ENV, **fenv, "PtrVal": PtrVal,
-                          "thenb": self.block_body(s.then),
-                          "elsb": self.block_body(s.els)})
+               "        return thenb(ip, f)\n")
+        env = {**fenv, "PtrVal": PtrVal,
+               "thenb": self.block_body(s.then)}
+        if s.els.stmts:
+            # an empty else (every loop's exit test) costs no call
+            src += "    return elsb(ip, f)\n"
+            env["elsb"] = self.block_body(s.els)
+        return _gen(src, env)
 
     def _compile_loop(self, s: S.Loop) -> Callable:
         stmts = tuple(self.stmt(x) for x in s.body.stmts)
@@ -413,17 +425,22 @@ class _Compiler:
             if ip.steps > ip._limit_at:
                 ip._over_limit()
             while True:
-                try:
-                    for x in stmts:
-                        x(ip, f)
-                except _Break:
-                    return
-                except _Continue:
-                    try:
-                        for x in tail:
-                            x(ip, f)
-                    except _Break:
-                        return
+                for x in stmts:
+                    r = x(ip, f)
+                    if r is not None:
+                        break
+                else:
+                    continue
+                if r is _CONTINUE:
+                    # ``continue`` still runs the for-loop post
+                    # expression and the do-while test
+                    for x in tail:
+                        r = x(ip, f)
+                        if r is not None:
+                            break
+                    else:
+                        continue
+                return None if r is _BREAK else r
         return run
 
     def _compile_return(self, s: S.Return) -> Callable:
@@ -432,11 +449,11 @@ class _Compiler:
                 ip.steps += 1
                 if ip.steps > ip._limit_at:
                     ip._over_limit()
-                raise _Return(0)
+                return (0,)
             return run
         fcode, fenv = self._fetch(s.exp, 1)
-        src = _STEP_HEAD + f"    raise _Return({fcode})\n"
-        return _gen(src, {**_STEP_ENV, **fenv, "_Return": _Return})
+        src = _STEP_HEAD + f"    return ({fcode},)\n"
+        return _gen(src, fenv)
 
     # ------------------------------------------------------------------
     # Instructions

@@ -418,54 +418,73 @@ class Interpreter:
         return home
 
     def read_cstring(self, p: PtrVal, limit: int = 1 << 20) -> str:
+        """The C string at ``p``, found with one ``bytearray.find`` per
+        home.  Cured (``__verify_nul``): the NUL must lie within ``p``'s
+        home and bounds.  Raw (hardware): the scan runs on into a home
+        that begins where the last one ends, traps at the first
+        unmapped byte, and gives up after ``limit`` bytes."""
         if p.is_null:
             raise attach_failure(
                 NullDereferenceError("string is NULL"),
                 check="CHECK_VERIFY_NUL",
                 function=self._current_function())
+        addr = p.addr
+        home = self.mem.home_of(addr)
         if self.cured:
-            home = self.mem.home_of(p.addr)
             if home is None:
                 raise attach_failure(
                     DanglingPointerError(
-                        f"string pointer 0x{p.addr:x} not in any "
+                        f"string pointer 0x{addr:x} not in any "
                         f"object"),
                     check="CHECK_VERIFY_NUL",
                     function=self._current_function())
-            end = home.end
-            if p.e is not None:
-                end = min(end, p.e)
-            raw = self.mem.read_raw(p.addr, end - p.addr)
-            idx = raw.find(b"\0")
-            if idx < 0:
-                raise attach_failure(
-                    BoundsError(
-                        "__verify_nul: string not NUL-terminated "
-                        "within bounds"),
-                    check="CHECK_VERIFY_NUL",
-                    function=self._current_function())
-            if self.shadow is not None:
-                self.shadow.on_read(p.addr, idx + 1)
-            return raw[:idx].decode("latin-1")
-        # raw mode: hardware semantics, read until NUL or fault
-        out = bytearray()
-        addr = p.addr
-        for _ in range(limit):
-            b = self.mem.read_raw(addr, 1)
-            if self.shadow is not None:
-                self.shadow.on_read(addr, 1)
-            if b == b"\0":
-                return out.decode("latin-1")
-            out += b
-            addr += 1
-        # The string scan ran off the end of the read limit without
-        # meeting a NUL — a bounds violation of the scan itself, not a
-        # budget problem of the interpreter.
-        raise attach_failure(
-            BoundsError(
-                f"string not NUL-terminated within {limit} bytes"),
-            check="CHECK_VERIFY_NUL",
-            function=self._current_function())
+            stop = home.end if p.e is None else min(home.end, p.e)
+        else:
+            stop = addr + limit
+        chunks: list[bytearray] = []
+        error: Optional[Exception] = None
+        while addr < stop:
+            if home is None:
+                error = SegmentationFault(
+                    f"read of unmapped address 0x{addr:x}")
+                break
+            base = home.base
+            hi = min(home.end, stop) - base
+            nul = home.data.find(0, addr - base, hi)
+            if nul >= 0:
+                chunks.append(home.data[addr - base:nul])
+                break
+            chunks.append(home.data[addr - base:hi])
+            addr = base + hi
+            # a cured ``stop`` lies inside ``home``: only raw scans
+            # go round again
+            home = self.mem.home_of(addr)
+        else:
+            # ran off the bounds (cured) or the read limit (raw)
+            # without meeting a NUL: a bounds violation of the scan
+            # itself, not a budget problem of the interpreter
+            error = attach_failure(
+                BoundsError(
+                    "__verify_nul: string not NUL-terminated within "
+                    "bounds" if self.cured else
+                    f"string not NUL-terminated within {limit} bytes"),
+                check="CHECK_VERIFY_NUL",
+                function=self._current_function())
+        text = b"".join(chunks)
+        sh = self.shadow
+        if sh is not None:
+            if self.cured:
+                if error is None:
+                    sh.on_read(p.addr, len(text) + 1)
+            else:
+                # hardware reads byte by byte: a shadow tool charges
+                # and checks each one, up to the NUL or the trap
+                for a in range(p.addr, p.addr + len(text)
+                               + (error is None)):
+                    sh.on_read(a, 1)
+        if error is not None:
+            raise error
+        return text.decode("latin-1")
 
     def write_cstring(self, p: PtrVal, text: str) -> None:
         data = text.encode("latin-1", "replace") + b"\0"
@@ -580,11 +599,9 @@ class Interpreter:
                 home = alloc(size, "stack", label)
                 home.frame_id = fid
                 homes[vid] = home
-            try:
-                body(self, frame)
-            except _Return as r:
-                return r.value
-            return 0
+            # the body yields None (fell off the end) or (value,)
+            ret = body(self, frame)
+            return 0 if ret is None else ret[0]
         finally:
             popped = self._frames.pop()
             locks = self.mem.locks
@@ -606,8 +623,12 @@ class Interpreter:
         else:
             blk = fd.body
 
-            def body(ip: "Interpreter", frame: Frame) -> None:
-                ip._exec_block(blk, frame)
+            def body(ip: "Interpreter", frame: Frame) -> Optional[tuple]:
+                try:
+                    ip._exec_block(blk, frame)
+                except _Return as r:
+                    return (r.value,)
+                return None
         formals = []
         for v in fd.formals:
             if _is_register_type(v.type) and not v.address_taken:

@@ -32,6 +32,17 @@ every home holds a slot in the :class:`LockTable` with a unique lock
 value, fat pointers carry the value as their *key*, and ``free`` (or a
 frame pop) invalidates the lock — a recycled address gets a fresh
 lock, so stale keys can never match again.
+
+Integer and pointer loads and stores (1, 2, 4 and 8 bytes) are the
+interpreter's hottest memory operations.  They decode and encode in
+place with precompiled little-endian ``struct`` codecs on the home's
+bytearray, and ``Memory`` remembers the home of the last such access
+that stayed inside one home.  A memo hit is exact: homes never move,
+shrink or overlap, and never leave the address map (a freed home stays
+mapped, and ``_recycle`` hands out the same base and size), so a home
+that holds ``[addr, addr + size)`` is the one a bisection would find.
+Accesses that span homes or touch unmapped bytes take the raw byte
+path, which traps like hardware.
 """
 
 from __future__ import annotations
@@ -45,6 +56,28 @@ from repro.runtime.checks import SegmentationFault
 
 _WORD = 4
 _U32 = 0xFFFFFFFF
+
+#: precompiled little-endian codecs for the integer widths: loads by
+#: signedness and size, stores (of an already-masked value) by size
+_LOAD_U = {n: struct.Struct("<" + c).unpack_from
+           for n, c in ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))}
+_LOAD_S = {n: struct.Struct("<" + c).unpack_from
+           for n, c in ((1, "b"), (2, "h"), (4, "i"), (8, "q"))}
+_STORE = {n: struct.Struct("<" + c).pack_into
+          for n, c in ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))}
+_MASK = {n: (1 << (8 * n)) - 1 for n in _STORE}
+_FLOAT = {4: struct.Struct("<f"), 8: struct.Struct("<d")}
+_LOAD_U32 = _LOAD_U[4]
+_STORE_U32 = _STORE[4]
+
+
+def _clear_meta(h: Home, off: int, n: int) -> None:
+    """Drop the shadow metadata of every pointer word a write of ``n``
+    bytes at offset ``off`` overlaps."""
+    lo = (off // _WORD) * _WORD
+    hi = off + n
+    for moff in [m for m in h.meta if lo <= m < hi]:
+        del h.meta[moff]
 
 
 @dataclass
@@ -97,8 +130,8 @@ class LockTable:
 class Home:
     """One allocation unit."""
 
-    __slots__ = ("hid", "base", "size", "region", "data", "alive",
-                 "meta", "name", "dynamic_rtti", "frame_id",
+    __slots__ = ("hid", "base", "size", "end", "region", "data",
+                 "alive", "meta", "name", "dynamic_rtti", "frame_id",
                  "lock_slot", "lock_key", "freed")
 
     def __init__(self, hid: int, base: int, size: int, region: str,
@@ -106,6 +139,8 @@ class Home:
         self.hid = hid
         self.base = base
         self.size = size
+        #: one past the last byte; a home never moves or resizes
+        self.end = base + size
         self.region = region  # "stack" | "heap" | "global" | "rodata" | "code"
         self.data = bytearray(size)
         self.alive = True
@@ -122,10 +157,6 @@ class Home:
         self.lock_key: int = 0
         #: True between a heap ``free`` and a reallocation of the home
         self.freed = False
-
-    @property
-    def end(self) -> int:
-        return self.base + self.size
 
     def contains(self, addr: int) -> bool:
         return self.base <= addr < self.end
@@ -174,6 +205,10 @@ class Memory:
         self.reuse_freed = reuse_freed
         #: freed heap homes by exact size, LIFO — the reuse pool
         self._free_heap: dict[int, list[Home]] = {}
+        #: the home of the last in-home integer or pointer access (an
+        #: empty sentinel until the first); the module docstring says
+        #: why a hit is exact
+        self._last = Home(0, 0, 0, "none")
 
     # -- allocation ---------------------------------------------------------
 
@@ -268,100 +303,98 @@ class Memory:
             take = min(n - pos, h.end - addr)
             off = addr - h.base
             h.data[off:off + take] = data[pos:pos + take]
-            # clobber any shadow metadata whose word overlaps the write
             if h.meta:
-                lo = (off // _WORD) * _WORD
-                hi = off + take
-                for moff in [m for m in h.meta if lo <= m < hi]:
-                    del h.meta[moff]
+                _clear_meta(h, off, take)
             addr += take
             pos += take
 
     # -- typed scalar access --------------------------------------------------
+    #
+    # An access inside one home (the overwhelmingly common case) finds
+    # its home in the one-entry memo or by bisection and decodes in
+    # place with a precompiled codec; an access that spans homes or
+    # touches unmapped bytes takes the raw path, which traps exactly
+    # like hardware.  The lookup is inlined: it runs once per scalar
+    # access.
 
     def read_int(self, addr: int, size: int, signed: bool) -> int:
-        # Fast path: the access lies within one home (the overwhelmingly
-        # common case); identical semantics to read_raw, minus a bisect
-        # and a bytearray round-trip.
-        i = bisect_right(self._bases, addr) - 1
-        if i >= 0:
-            h = self._by_base[i]
-            off = addr - h.base
-            if 0 <= off and off + size <= h.size:
-                return int.from_bytes(h.data[off:off + size], "little",
+        h = self._last
+        off = addr - h.base
+        if not 0 <= off <= h.size - size:
+            i = bisect_right(self._bases, addr) - 1
+            if i < 0 or addr + size > self._by_base[i].end:
+                return int.from_bytes(self.read_raw(addr, size), "little",
                                       signed=signed)
-        raw = self.read_raw(addr, size)
-        return int.from_bytes(raw, "little", signed=signed)
+            h = self._last = self._by_base[i]
+            off = addr - h.base
+        return (_LOAD_S if signed else _LOAD_U)[size](h.data, off)[0]
 
     def write_int(self, addr: int, value: int, size: int) -> None:
-        value &= (1 << (8 * size)) - 1
-        i = bisect_right(self._bases, addr) - 1
-        if i >= 0:
-            h = self._by_base[i]
-            off = addr - h.base
-            if 0 <= off and off + size <= h.size:
-                h.data[off:off + size] = value.to_bytes(size, "little")
-                if h.meta:
-                    lo = (off // _WORD) * _WORD
-                    hi = off + size
-                    for moff in [m for m in h.meta if lo <= m < hi]:
-                        del h.meta[moff]
+        value &= _MASK[size]
+        h = self._last
+        off = addr - h.base
+        if not 0 <= off <= h.size - size:
+            i = bisect_right(self._bases, addr) - 1
+            if i < 0 or addr + size > self._by_base[i].end:
+                self.write_raw(addr, value.to_bytes(size, "little"))
                 return
-        self.write_raw(addr, value.to_bytes(size, "little"))
+            h = self._last = self._by_base[i]
+            off = addr - h.base
+        _STORE[size](h.data, off, value)
+        if h.meta:
+            _clear_meta(h, off, size)
 
     def read_float(self, addr: int, size: int) -> float:
-        raw = self.read_raw(addr, size)
-        return struct.unpack("<f" if size == 4 else "<d", raw)[0]
+        return _FLOAT[size].unpack(self.read_raw(addr, size))[0]
 
     def write_float(self, addr: int, value: float, size: int) -> None:
-        fmt = "<f" if size == 4 else "<d"
+        codec = _FLOAT[size]
         try:
-            self.write_raw(addr, struct.pack(fmt, value))
+            data = codec.pack(value)
         except OverflowError:
-            self.write_raw(addr, struct.pack(
-                fmt, float("inf") if value > 0 else float("-inf")))
+            data = codec.pack(float("inf") if value > 0
+                              else float("-inf"))
+        self.write_raw(addr, data)
 
     # -- pointer access (word + shadow metadata) ------------------------------
 
     def write_ptr(self, addr: int, value: int,
                   meta: Optional[PtrMeta]) -> None:
-        data = (value & _U32).to_bytes(4, "little")
-        i = bisect_right(self._bases, addr) - 1
-        if i >= 0:
-            h = self._by_base[i]
-            off = addr - h.base
-            if 0 <= off and off + 4 <= h.size:
-                h.data[off:off + 4] = data
-                if h.meta:
-                    # same clobber window write_raw would apply
-                    lo = (off // _WORD) * _WORD
-                    hi = off + 4
-                    for moff in [m for m in h.meta if lo <= m < hi]:
-                        del h.meta[moff]
-                if meta is not None:
-                    h.meta[off] = meta
+        h = self._last
+        off = addr - h.base
+        if not 0 <= off <= h.size - 4:
+            i = bisect_right(self._bases, addr) - 1
+            if i < 0 or addr + 4 > self._by_base[i].end:
+                self.write_raw(addr, (value & _U32).to_bytes(4, "little"))
+                h = self.home_of(addr)
+                if h is not None:
+                    off = addr - h.base
+                    if meta is not None:
+                        h.meta[off] = meta
+                    else:
+                        h.meta.pop(off, None)
                 return
-        self.write_raw(addr, data)
-        h = self.home_of(addr)
-        if h is not None:
+            h = self._last = self._by_base[i]
             off = addr - h.base
-            if meta is not None:
-                h.meta[off] = meta
-            else:
-                h.meta.pop(off, None)
+        _STORE_U32(h.data, off, value & _U32)
+        if h.meta:
+            _clear_meta(h, off, 4)
+        if meta is not None:
+            h.meta[off] = meta
 
     def read_ptr(self, addr: int) -> tuple[int, Optional[PtrMeta]]:
-        i = bisect_right(self._bases, addr) - 1
-        if i >= 0:
-            h = self._by_base[i]
+        h = self._last
+        off = addr - h.base
+        if not 0 <= off <= h.size - 4:
+            i = bisect_right(self._bases, addr) - 1
+            if i < 0 or addr + 4 > self._by_base[i].end:
+                value = int.from_bytes(self.read_raw(addr, 4), "little")
+                h = self.home_of(addr)
+                meta = h.meta.get(addr - h.base) if h is not None else None
+                return value, meta
+            h = self._last = self._by_base[i]
             off = addr - h.base
-            if 0 <= off and off + 4 <= h.size:
-                return (int.from_bytes(h.data[off:off + 4], "little"),
-                        h.meta.get(off))
-        value = int.from_bytes(self.read_raw(addr, 4), "little")
-        h = self.home_of(addr)
-        meta = h.meta.get(addr - h.base) if h is not None else None
-        return value, meta
+        return _LOAD_U32(h.data, off)[0], h.meta.get(off)
 
     def has_ptr_tag(self, addr: int) -> bool:
         """The WILD tag of the word at ``addr``: set iff the last store

@@ -232,6 +232,39 @@ class TestStatements:
               return x; }
             """)
 
+    def test_continue_inside_switch_rejected(self):
+        # the switch's run-once loop would catch the continue and re-run
+        # the arm forever; C says this returns 44
+        with pytest.raises(UnsupportedCError,
+                           match="continue inside a switch at .*:3:"):
+            parse_program("""
+            int main(void) { int i, s = 0; for (i = 0; i < 5; i++) {
+              switch (i) { case 2: if (s >= 0) continue; break;
+                           default: s += 1; break; }
+              s += 10; }
+              return s; }
+            """)
+
+    def test_break_outside_loop_rejected(self):
+        # it would leak out of f and end the caller's loop
+        with pytest.raises(UnsupportedCError,
+                           match="break outside a loop or switch at "
+                                 ".*:2:"):
+            parse_program("""
+            void f(int x) { if (x) break; }
+            int main(void) { int i; for (i = 0; i < 3; i++) f(i);
+              return i; }
+            """)
+
+    def test_continue_outside_loop_rejected(self):
+        with pytest.raises(UnsupportedCError,
+                           match="continue outside a loop at .*:3:"):
+            parse_program("""
+            int main(void) { int x = 1;
+              switch (x) { case 1: continue; }
+              return x; }
+            """)
+
     def test_break_continue(self):
         out = body_str("""
         int main(void) { int i, s = 0;
