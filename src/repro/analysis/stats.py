@@ -85,8 +85,8 @@ def analyze_source(source: str, name: str = "program",
 
 def analyze_workload(w, scale: Optional[int] = None) -> dict:
     """Analyze one benchmark workload at ``optimize="none"`` through
-    the shared pristine parse/cure caches — the unit of work both the
-    serial ``repro analyze`` loop and the sharded sweep run."""
+    the shared pristine parse/cure caches — the unit of work one shard
+    of a ``repro analyze`` sweep runs."""
     from repro.bench.harness import cached_cure
     cured = cached_cure(w, options=CureOptions(optimize="none"),
                         scale=scale)

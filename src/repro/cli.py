@@ -50,11 +50,14 @@ Usage (also available as ``python -m repro``)::
     python -m repro cache stats|clear      # the content-addressed
                                            # cure cache
 
-Sweep-shaped commands (``metrics``, ``lint``, ``analyze``, ``faults
-run``, ``faults lint``, ``sweep``) accept ``--jobs N|auto`` to shard
-their workload loop across processes; sharded output is byte-identical
-to the serial output, and all of them share the on-disk cure cache
-(``REPRO_CACHE_DIR``; ``REPRO_CACHE=off`` disables it).
+Sweep-shaped commands (``metrics``, ``lint``, ``analyze``, ``profile``,
+``faults run``, ``faults lint``, ``sweep``) accept ``--jobs N|auto`` to
+shard their workload loop across processes; ``--jobs 1`` (the default)
+runs the same shards inline, so the output is byte-identical at every
+``--jobs`` value, and all of them share the on-disk cure cache
+(``REPRO_CACHE_DIR``; ``REPRO_CACHE=off`` disables it).  A selection
+naming an unknown workload, campaign, mutation class or sweep target
+exits 2 with one message before any work starts.
 
 The exit status of ``run`` is the program's exit status; memory-safety
 failures exit with status 99 after printing the check that fired,
@@ -73,6 +76,7 @@ from repro.frontend import parse_program
 from repro.interp import ENGINES, run_cured, run_raw
 from repro.runtime.checks import (MemorySafetyError, ProgramAbort,
                                   SegmentationFault)
+from repro.workloads import UnknownSelection
 
 SAFETY_EXIT = 99
 
@@ -323,12 +327,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     from repro.bench import run_workload
     from repro.workloads import get
-    try:
-        w = get(args.name)
-    except KeyError:
-        print(f"unknown workload {args.name!r} "
-              "(see `python -m repro workloads`)", file=sys.stderr)
-        return 2
+    w = get(args.name)
     tools = tuple(args.tools.split(",")) if args.tools else ("ccured",)
     row = run_workload(w, tools=tools, scale=args.scale,
                        engine=args.engine)
@@ -349,16 +348,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     reports = []
     if args.all_workloads or args.workload:
         from repro.sweep import sharded_analyze
-        try:
-            selected = _select_workloads(args.workload,
-                                         args.all_workloads)
-        except KeyError as exc:
-            print(f"unknown workload {exc.args[0]!r} "
-                  "(see `python -m repro workloads`)",
-                  file=sys.stderr)
-            return 2
-        reports = sharded_analyze(selected, scale=args.scale,
-                                  jobs=args.jobs)
+        reports = sharded_analyze(
+            _select_workloads(args.workload, args.all_workloads),
+            scale=args.scale, jobs=args.jobs)
     else:
         if not args.file:
             print("analyze: give a FILE, --workload NAME or "
@@ -391,25 +383,15 @@ def cmd_lint(args: argparse.Namespace) -> int:
     reports = []
     if args.all_workloads or args.workload:
         from repro.sweep import sharded_lint
-        try:
-            selected = _select_workloads(args.workload,
-                                         args.all_workloads)
-        except KeyError as exc:
-            print(f"unknown workload {exc.args[0]!r} "
-                  "(see `python -m repro workloads`)",
-                  file=sys.stderr)
-            return 2
+        selected = _select_workloads(args.workload, args.all_workloads)
         pl = _progress_line(args, len(selected))
-        show = not args.quiet and args.format == "text" \
-            and pl is None
+        show = not args.quiet and args.format == "text"
         try:
             reports = sharded_lint(
                 selected, optimize=optimize, scale=args.scale,
                 jobs=args.jobs,
                 progress=(pl.tick if pl is not None else
-                          (lambda line: print(line,
-                                              file=sys.stderr))
-                          if show else None))
+                          _echo if show else None))
         finally:
             if pl is not None:
                 pl.close()
@@ -449,6 +431,11 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return 0
 
 
+def _echo(line: str) -> None:
+    """A progress line on stderr (stdout stays machine-readable)."""
+    print(line, file=sys.stderr)
+
+
 def _emit_json(text: str, path: str, what: str = "report") -> None:
     """Write a JSON document to ``path``, with ``-`` meaning stdout —
     the one spelling every ``--json PATH`` flag shares."""
@@ -470,56 +457,38 @@ def cmd_faults(args: argparse.Namespace) -> int:
             print(f"{name:<20} -> {spec.expected.__name__}")
             print(f"{'':20}    {spec.description}")
         return 0
+    classes = args.classes.split(",") if args.classes else None
     if args.faults_command == "lint":
         from repro.sweep import sharded_lintval
-        try:
-            selected = _select_workloads(args.workloads,
-                                         args.all_workloads)
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return 2
         val = sharded_lintval(
             args.seed,
-            workloads=selected or None,
-            classes=(args.classes.split(",") if args.classes
-                     else None),
-            optimize=args.optimize or "flow", scale=args.scale,
-            jobs=args.jobs,
-            progress=(None if args.quiet
-                      else lambda line: print(line,
-                                              file=sys.stderr)))
+            workloads=_select_workloads(args.workloads,
+                                        args.all_workloads) or None,
+            classes=classes, optimize=args.optimize or "flow",
+            scale=args.scale, jobs=args.jobs,
+            progress=None if args.quiet else _echo)
         if args.json:
             _emit_json(val.dumps(), args.json)
         print(val.render())
         return 0 if val.ok else 2
     # faults run
+    from repro.faults.campaign import select_campaign
     from repro.sweep import sharded_campaign
     workloads = (args.workloads.split(",") if args.workloads
                  else None)
-    classes = args.classes.split(",") if args.classes else None
-    pl = None
-    if getattr(args, "progress", False) and not args.quiet:
-        from repro.faults.campaign import CAMPAIGNS
-        from repro.workloads import all_workloads
-        names = (workloads or CAMPAIGNS.get(args.campaign)
-                 or [w.name for w in all_workloads()])
-        pl = _progress_line(args, len(names))
+    names, _ = select_campaign(args.campaign, workloads=workloads,
+                               classes=classes)
+    pl = _progress_line(args, len(names))
     try:
         report = sharded_campaign(
             args.seed, args.campaign, workloads=workloads,
             classes=classes, scale=args.scale,
             optimize=args.optimize, jobs=args.jobs,
             progress=(pl.tick if pl is not None else
-                      None if args.quiet
-                      else lambda line: print(line,
-                                              file=sys.stderr)))
-    except KeyError as exc:
+                      None if args.quiet else _echo))
+    finally:
         if pl is not None:
             pl.close()
-        print(exc.args[0], file=sys.stderr)
-        return 2
-    if pl is not None:
-        pl.close()
     if args.json:
         _emit_json(report_to_json(report), args.json)
     print(report_to_markdown(report), end="")
@@ -568,13 +537,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     else:
         from repro.bench.harness import pristine_cure
         from repro.workloads import get
-        try:
-            w = get(target)
-        except KeyError:
-            print(f"unknown workload {target!r} "
-                  "(see `python -m repro workloads`)",
-                  file=sys.stderr)
-            return 2
+        w = get(target)
         # honor the workload's own trust default unless overridden
         opts.trust_bad_casts = (args.trust_bad_casts
                                 or w.trust_bad_casts)
@@ -602,7 +565,7 @@ def _select_workloads(names: Optional[str], all_workloads: bool):
         name = name.strip()
         if not name:
             continue
-        selected.append(get(name))  # KeyError -> caller reports
+        selected.append(get(name))
     return selected
 
 
@@ -626,8 +589,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
                 optimize=baseline.get("optimize"),
                 scale=baseline.get("scale"),
                 jobs=args.jobs,
-                progress=(None if args.quiet else
-                          lambda line: print(line, file=sys.stderr)))
+                progress=None if args.quiet else _echo)
             current = report.to_json()
         res = diff_reports(baseline, current, Thresholds(
             checks_pct=args.max_checks_pct,
@@ -644,22 +606,13 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         return 0
 
     # run mode: collect and emit a report
-    try:
-        selected = _select_workloads(args.workload,
-                                     args.all_workloads)
-    except KeyError as exc:
-        print(f"unknown workload {exc.args[0]!r} "
-              "(see `python -m repro workloads`)", file=sys.stderr)
-        return 2
+    selected = _select_workloads(args.workload, args.all_workloads)
     if not selected:
         print("metrics: give --workload NAME[,NAME...] or "
               "--all-workloads", file=sys.stderr)
         return 2
     trace_records: Optional[list] = [] if args.trace else None
     pl = _progress_line(args, len(selected))
-    def _echo(line: str) -> None:
-        print(line, file=sys.stderr)
-
     if pl is not None:
         progress = pl.tick
     elif args.quiet or not args.json:
@@ -696,13 +649,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 def cmd_profile(args: argparse.Namespace) -> int:
     from repro.obs import (collect_profile, render_profile,
                            stable_dumps)
-    try:
-        selected = _select_workloads(args.workload,
-                                     args.all_workloads)
-    except KeyError as exc:
-        print(f"unknown workload {exc.args[0]!r} "
-              "(see `python -m repro workloads`)", file=sys.stderr)
-        return 2
+    selected = _select_workloads(args.workload, args.all_workloads)
     if not selected:
         print("profile: give --workload NAME[,NAME...] or "
               "--all-workloads", file=sys.stderr)
@@ -782,13 +729,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                    if lv.strip())
     for e in engines:
         if e not in ENGINES:
-            print(f"sweep: unknown engine {e!r}", file=sys.stderr)
-            return 2
+            raise UnknownSelection(f"unknown engine {e!r}")
     for lv in levels:
         if lv not in OPTIMIZE_LEVELS:
-            print(f"sweep: unknown optimize level {lv!r}",
-                  file=sys.stderr)
-            return 2
+            raise UnknownSelection(f"unknown optimize level {lv!r}")
     trace_records: Optional[list] = [] if args.trace else None
     pl = _progress_line(args, count_sweep_shards(
         targets=targets, engines=engines, levels=levels,
@@ -798,18 +742,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             targets=targets, engines=engines, levels=levels,
             jobs=args.jobs, out_dir=args.out, seed=args.seed,
             campaign=args.campaign, scale=args.scale,
-            progress=(None if args.quiet
-                      else lambda line: print(line,
-                                              file=sys.stderr)),
+            progress=None if args.quiet else _echo,
             shard_progress=(pl.tick if pl is not None else None),
             trace=trace_records)
-    except KeyError as exc:
+    finally:
         if pl is not None:
             pl.close()
-        print(f"sweep: {exc.args[0]}", file=sys.stderr)
-        return 2
-    if pl is not None:
-        pl.close()
     if args.trace:
         from repro.obs.tracer import write_chrome_trace
         write_chrome_trace(trace_records or [], args.trace)
@@ -1193,7 +1131,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except UnknownSelection as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -12,7 +12,8 @@ repeatable experiment:
 * :mod:`repro.faults.campaign` cures and executes every variant under
   both execution engines (and raw, for the differential), asserting
   that the cured runs trap with the expected error class, identically
-  across engines;
+  across engines (:func:`repro.sweep.sharded_campaign` runs a whole
+  campaign, one workload per shard);
 * :mod:`repro.faults.report` renders the campaign outcome as
   deterministic JSON and a markdown table.
 
@@ -20,13 +21,15 @@ Same seed, same campaign → bit-identical report.
 """
 
 from repro.faults.campaign import (CAMPAIGNS, CampaignReport,
-                                   VariantReport, run_campaign)
+                                   VariantReport, campaign_workload,
+                                   select_campaign)
 from repro.faults.mutators import (MUTATORS, FaultSpec, graft,
                                    make_variant)
 from repro.faults.report import report_to_json, report_to_markdown
 
 __all__ = [
-    "CAMPAIGNS", "CampaignReport", "VariantReport", "run_campaign",
+    "CAMPAIGNS", "CampaignReport", "VariantReport",
+    "campaign_workload", "select_campaign",
     "MUTATORS", "FaultSpec", "graft", "make_variant",
     "report_to_json", "report_to_markdown",
 ]

@@ -25,11 +25,12 @@ from typing import Callable, Optional, Sequence
 from repro.bench.harness import pristine_parse
 from repro.core import CureOptions, cure
 from repro.faults.mutators import MUTATORS, FaultSpec, graft, make_variant
-from repro.interp import run_cured, run_raw
+from repro.interp import ENGINES, run_cured, run_raw
 from repro.runtime.checks import (CheckFailure, InterpreterLimitError,
                                   MemorySafetyError, ProgramAbort,
                                   ProgramExit, SegmentationFault)
-from repro.workloads import Workload, all_workloads, get
+from repro.workloads import (UnknownSelection, Workload, all_workloads,
+                             get)
 
 #: step caps: variants trap at main entry, so cured runs need very few
 #: steps; raw survivors would otherwise run the whole workload — cap
@@ -158,10 +159,9 @@ def _classify(run: Callable[[], object], tool: str) -> RunOutcome:
 
 def run_variant(w: Workload, spec: FaultSpec, *,
                 scale: Optional[int] = None,
-                engines: Sequence[str] = ("closures", "tree"),
                 optimize: Optional[str] = None,
                 ) -> VariantReport:
-    """Cure and execute one attack variant under every engine + raw.
+    """Cure and execute one attack variant under both engines + raw.
 
     ``optimize`` selects the check-elimination level of the cured
     side; the campaign's contract is that the level never changes
@@ -195,7 +195,7 @@ def run_variant(w: Workload, spec: FaultSpec, *,
 
     args = list(w.args) or None
     cured_runs = []
-    for engine in engines:
+    for engine in ENGINES:
         out = _classify(
             lambda e=engine: run_cured(
                 cured, args=args, stdin=w.stdin,
@@ -219,7 +219,7 @@ def run_variant(w: Workload, spec: FaultSpec, *,
     report.engines_agree = all(
         (r.outcome, r.error, r.message, r.failure) ==
         (first.outcome, first.error, first.message, first.failure)
-        for r in cured_runs[1:]) if len(cured_runs) > 1 else True
+        for r in cured_runs[1:])
     if raw_out.outcome == "crash":
         report.raw_outcome = f"crash:{raw_out.error}"
     elif raw_out.outcome == "exit":
@@ -229,43 +229,39 @@ def run_variant(w: Workload, spec: FaultSpec, *,
     return report
 
 
-def run_campaign(seed: int, campaign: str = "smoke", *,
-                 workloads: Optional[Sequence[str]] = None,
-                 classes: Optional[Sequence[str]] = None,
-                 scale: Optional[int] = None,
-                 engines: Sequence[str] = ("closures", "tree"),
-                 optimize: Optional[str] = None,
-                 progress: Optional[Callable[[str], None]] = None,
-                 ) -> CampaignReport:
-    """Run a named campaign: every mutation class against every
-    selected workload, deterministically from ``seed``."""
+def select_campaign(campaign: str, *,
+                    workloads: Optional[Sequence[str]] = None,
+                    classes: Optional[Sequence[str]] = None,
+                    ) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Resolve a campaign selection to ``(workload names, mutation
+    classes)``.  ``workloads`` overrides the preset's workload set and
+    ``classes`` the default of every class.  Every name is checked
+    here, so a bad selection raises :class:`UnknownSelection` before
+    any variant runs."""
     if campaign not in CAMPAIGNS:
-        raise KeyError(f"unknown campaign {campaign!r} "
-                       f"(known: {', '.join(CAMPAIGNS)})")
-    if workloads is not None:
-        names: Sequence[str] = list(workloads)
-    else:
+        raise UnknownSelection(f"unknown campaign {campaign!r} "
+                               f"(known: {', '.join(CAMPAIGNS)})")
+    if workloads is None:
         preset = CAMPAIGNS[campaign]
-        names = (preset if preset is not None
-                 else tuple(w.name for w in all_workloads()))
+        workloads = (preset if preset is not None
+                     else [w.name for w in all_workloads()])
+    names = tuple(get(name).name for name in workloads)
     mclasses = tuple(classes) if classes is not None \
         else tuple(MUTATORS)
     for m in mclasses:
         if m not in MUTATORS:
-            raise KeyError(f"unknown mutation class {m!r}")
+            raise UnknownSelection(
+                f"unknown mutation class {m!r} "
+                "(see `python -m repro faults list`)")
+    return names, mclasses
 
-    report = CampaignReport(seed=seed, campaign=campaign,
-                            scale=scale, classes=mclasses,
-                            optimize=optimize)
-    for name in names:
-        w = get(name)
-        for mclass in mclasses:
-            spec = make_variant(w.name, mclass, seed)
-            vr = run_variant(w, spec, scale=scale, engines=engines,
-                             optimize=optimize)
-            report.variants.append(vr)
-            if progress is not None:
-                flag = "caught" if vr.caught else "MISSED"
-                progress(f"{w.name:>18} {mclass:<20} {flag}  "
-                         f"(raw: {vr.raw_outcome})")
-    return report
+
+def campaign_workload(w: Workload, classes: Sequence[str],
+                      seed: int, *, scale: Optional[int] = None,
+                      optimize: Optional[str] = None
+                      ) -> list[VariantReport]:
+    """Run every class variant of one workload, deterministically from
+    ``seed`` — the unit of work a campaign sweep shards."""
+    return [run_variant(w, make_variant(w.name, m, seed), scale=scale,
+                        optimize=optimize)
+            for m in classes]

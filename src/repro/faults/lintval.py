@@ -21,14 +21,14 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from repro.analysis.lint import lint_cured
 from repro.bench.harness import pristine_parse
 from repro.core import CureOptions, cure
-from repro.faults.mutators import MUTATORS, graft, make_variant
+from repro.faults.mutators import graft, make_variant
 from repro.obs.serialize import stable_dumps
-from repro.workloads import Workload, all_workloads
+from repro.workloads import Workload
 
 LINTVAL_SCHEMA = "repro.faults.lintval/1"
 
@@ -205,8 +205,8 @@ def aggregate_validation(seed: int, optimize: str,
                          variants: Iterable[VariantLint]
                          ) -> LintValidation:
     """Fold per-variant outcomes into the per-class E13 rows.  Pure
-    aggregation: serial and sharded validations that produce the same
-    variants produce byte-identical reports."""
+    aggregation: the same variants in the same order produce a
+    byte-identical report, whatever ``jobs`` the sweep ran at."""
     cs = list(classes)
     val = LintValidation(seed=seed, optimize=optimize)
     rows = {m: ClassLintRow(mclass=m, expected=STATIC_CLASSES.get(m))
@@ -219,29 +219,3 @@ def aggregate_validation(seed: int, optimize: str,
         row.false_positives += v.false_positives
     val.rows = [rows[m] for m in cs]
     return val
-
-
-def run_lint_validation(seed: int = 1, *,
-                        workloads: Optional[Iterable[Workload]] = None,
-                        classes: Optional[Iterable[str]] = None,
-                        optimize: str = "flow",
-                        scale: Optional[int] = None,
-                        progress: Optional[Callable[[str], None]]
-                        = None) -> LintValidation:
-    """Lint every (workload, class) variant; aggregate per class."""
-    ws = list(workloads) if workloads is not None \
-        else list(all_workloads())
-    cs = list(classes) if classes is not None else list(MUTATORS)
-    collected: list[VariantLint] = []
-    for w in ws:
-        for v in validate_workload(w, cs, seed, optimize=optimize,
-                                   scale=scale):
-            collected.append(v)
-            if progress is not None:
-                mark = "+" if v.hit else ("." if v.expected is None
-                                          else "MISS")
-                progress(f"lint {w.name}+{v.mclass}: {mark} "
-                         f"{','.join(v.graft_codes) or '-'}"
-                         + (f" FP={v.false_positives}"
-                            if v.false_positives else ""))
-    return aggregate_validation(seed, optimize, cs, collected)

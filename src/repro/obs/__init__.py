@@ -29,7 +29,6 @@ from repro.obs.provenance import (SEED_CAUSES, SPREAD_CAUSES,
                                   Provenance, describe)
 from repro.obs.metrics import (SCHEMA, MetricsReport, SiteStat,
                                WorkloadMetrics,
-                               collect_metrics,
                                collect_workload_metrics,
                                render_report, site_table)
 from repro.obs.profile import (NONDET_PHASES, PROFILE_SCHEMA,
@@ -53,7 +52,7 @@ __all__ = [
     "DiffResult", "Finding", "Thresholds", "diff_reports",
     "render_diff",
     "SCHEMA", "MetricsReport", "SiteStat", "WorkloadMetrics",
-    "collect_metrics", "collect_workload_metrics", "render_report",
+    "collect_workload_metrics", "render_report",
     "site_table",
     "NONDET_PHASES", "PROFILE_SCHEMA", "PhaseStat", "ProfileReport",
     "collect_profile", "fold_spans", "phase_key",

@@ -26,8 +26,9 @@ byte-identically across runs — the property the CI regression gate
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from repro.cil import stmt as S
 from repro.cil.program import GFun, Program
@@ -196,18 +197,17 @@ def collect_workload_metrics(w, *, engine: str = "closures",
                              scale: Optional[int] = None,
                              timing: bool = False,
                              provenance: bool = False,
-                             temporal: bool = False,
-                             trace: Optional[list] = None
+                             temporal: bool = False
                              ) -> WorkloadMetrics:
     """Measure one workload raw + cured and assemble its metrics.
 
     Uses the bench harness's pristine parse/cure caches, so repeated
     collections (and collections sharing trees with benchmark tests)
-    pay the pipeline once.  With ``timing=True`` the tracer captures
-    per-phase wall seconds around the same calls; passing a ``trace``
-    list additionally accumulates the raw span records (for Chrome
-    trace export).  With ``provenance=True`` the cure records blame
-    provenance and the metrics carry per-state root-cause counts.
+    pay the pipeline once.  The work runs inside one ``workload``
+    span.  With ``timing=True`` the tracer captures per-phase wall
+    seconds around the same calls.  With ``provenance=True`` the cure
+    records blame provenance and the metrics carry per-state
+    root-cause counts.
     With ``temporal=True`` the workload is cured and run a second
     time with lock-and-key liveness checking on, and the metrics
     carry its CHECK_ALIVE counts and cycle overhead; the main columns
@@ -223,27 +223,21 @@ def collect_workload_metrics(w, *, engine: str = "closures",
                        optimize=optimize, provenance=provenance)
     args = list(w.args) or None
 
-    def _run() -> tuple:
-        prog = pristine_parse(w, scale)
-        cured = pristine_cure(w, options=opts, scale=scale)
-        raw_res = run_raw(prog, args=args, stdin=w.stdin,
-                          engine=engine)
-        hits: Counter[int] = Counter()
-        cured_res = run_cured(cured, args=args, stdin=w.stdin,
-                              engine=engine, site_hits=hits)
-        return cured, raw_res, cured_res, hits
-
-    phases: dict[str, float] = {}
-    if timing or trace is not None:
-        with TRACER.capture() as records:
-            with TRACER.span("workload", name=w.name):
-                cured, raw_res, cured_res, hits = _run()
-        if timing:
-            phases = phase_seconds_of(records)
-        if trace is not None:
-            trace.extend(records)
-    else:
-        cured, raw_res, cured_res, hits = _run()
+    # Timing joins a live capture (a traced shard) instead of nesting
+    # its own, which would hide these spans from the enclosing one.
+    fresh = timing and not TRACER.enabled
+    with TRACER.capture() if fresh else nullcontext():
+        start = len(TRACER.records)
+        with TRACER.span("workload", name=w.name):
+            prog = pristine_parse(w, scale)
+            cured = pristine_cure(w, options=opts, scale=scale)
+            raw_res = run_raw(prog, args=args, stdin=w.stdin,
+                              engine=engine)
+            hits: Counter[int] = Counter()
+            cured_res = run_cured(cured, args=args, stdin=w.stdin,
+                                  engine=engine, site_hits=hits)
+        phases = (phase_seconds_of(TRACER.records[start:]) if timing
+                  else {})
 
     root_causes: Optional[dict[str, dict[str, int]]] = None
     if provenance:
@@ -308,34 +302,6 @@ def collect_workload_metrics(w, *, engine: str = "closures",
         root_causes=root_causes,
         temporal=temporal_stats,
     )
-
-
-def collect_metrics(workloads: Sequence, *, engine: str = "closures",
-                    optimize: Optional[str] = None,
-                    scale: Optional[int] = None,
-                    timing: bool = False,
-                    provenance: bool = False,
-                    temporal: bool = False,
-                    trace: Optional[list] = None,
-                    progress=None) -> MetricsReport:
-    """Collect a :class:`MetricsReport` over ``workloads`` (ordered
-    by name, so reports are position-independent)."""
-    report = MetricsReport(
-        engine=engine,
-        optimize=optimize if optimize is not None else "flow",
-        scale=scale)
-    for w in sorted(workloads, key=lambda w: w.name):
-        wm = collect_workload_metrics(w, engine=engine,
-                                      optimize=optimize, scale=scale,
-                                      timing=timing,
-                                      provenance=provenance,
-                                      temporal=temporal,
-                                      trace=trace)
-        report.workloads.append(wm)
-        if progress is not None:
-            progress(f"{wm.name:>18}  ratio {wm.ccured_ratio:5.2f}x  "
-                     f"checks {wm.checks_executed}")
-    return report
 
 
 # -- rendering ---------------------------------------------------------------

@@ -179,42 +179,29 @@ def collect_profile(workloads: Sequence, *,
                     trace: Optional[list] = None,
                     progress=None) -> ProfileReport:
     """Profile ``workloads`` (ordered by name) into a
-    :class:`ProfileReport`; sharded across ``jobs`` workers with
-    byte-identical deterministic output either way.  A ``trace`` list
-    additionally accumulates the merged span records (rebased onto
-    this process's timeline) for Chrome-trace export."""
+    :class:`ProfileReport`, one shard per workload across ``jobs``
+    workers (inline at one).  A ``trace`` list additionally
+    accumulates the merged span records (rebased onto this process's
+    timeline) for Chrome-trace export."""
     from repro.obs.tracer import spans_from_wire
-    from repro.sweep.runner import resolve_jobs, run_sharded
+    from repro.sweep.runner import run_sharded
 
     report = ProfileReport(
         engine=engine,
         optimize=optimize if optimize is not None else "flow",
         scale=scale)
     ordered = sorted(workloads, key=lambda w: w.name)
-    n = resolve_jobs(jobs)
+    tasks = [("profile", dict(name=w.name, engine=engine,
+                              optimize=optimize, scale=scale))
+             for w in ordered]
+    note = (None if progress is None else
+            lambda kind, kw, r: progress(f"profiled {kw['name']}"))
     anchor = TRACER.epoch_wall()
-    if n <= 1 or len(ordered) <= 1:
-        for w in ordered:
-            records = profile_workload(w, engine=engine,
-                                       optimize=optimize, scale=scale)
-            report.workloads[w.name] = fold_spans(records)
-            if trace is not None:
-                trace.extend(records)
-            if progress is not None:
-                progress(f"profiled {w.name}")
-    else:
-        tasks = [("profile", dict(name=w.name, engine=engine,
-                                  optimize=optimize, scale=scale))
-                 for w in ordered]
-        note = (None if progress is None else
-                lambda kind, kw, r: progress(
-                    f"profiled {kw['name']}"))
-        wires = run_sharded(tasks, n, note)
-        for w, wire in zip(ordered, wires):
-            records = spans_from_wire(wire, anchor)
-            report.workloads[w.name] = fold_spans(records)
-            if trace is not None:
-                trace.extend(records)
+    for w, wire in zip(ordered, run_sharded(tasks, jobs, note)):
+        records = spans_from_wire(wire, anchor)
+        report.workloads[w.name] = fold_spans(records)
+        if trace is not None:
+            trace.extend(records)
     return report
 
 

@@ -2,12 +2,13 @@
 
 :mod:`.runner` is the mechanism — picklable per-workload task
 functions and a :class:`~concurrent.futures.ProcessPoolExecutor` pool
-whose results merge in submission order.  :mod:`.drivers` is the
-policy — one ``sharded_*`` driver per CLI sweep (metrics, lint,
-campaign, analyze, lint validation) plus the ``repro sweep`` matrix
-driver, each byte-identical to its serial counterpart by
-construction.  Shards share the content-addressed cure cache
-(:mod:`repro.cache`), so the matrix pays each parse/cure once.
+whose results merge in submission order, run inline at ``jobs=1``.
+:mod:`.drivers` is the policy — one ``sharded_*`` driver per CLI sweep
+(metrics, lint, campaign, analyze, lint validation) plus the ``repro
+sweep`` matrix driver.  Every driver has exactly one code path, so its
+output is byte-identical at every ``jobs`` value by construction.
+Shards share the content-addressed cure cache (:mod:`repro.cache`),
+so the matrix pays each parse/cure once.
 """
 
 from repro.sweep.drivers import (SweepArtifact, SweepSummary,

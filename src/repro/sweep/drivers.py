@@ -1,12 +1,14 @@
-"""Sharded drivers for every sweep the CLI runs, plus the
-``repro sweep`` matrix driver.
+"""Drivers for every sweep the CLI runs, plus the ``repro sweep``
+matrix driver.
 
-Each ``sharded_*`` function is a drop-in replacement for its serial
-counterpart: with ``jobs`` ≤ 1 it *calls* the serial code, and with
-more jobs it distributes one task per workload across the pool and
-merges the per-shard results in the serial path's iteration order —
-so the serialized output is byte-identical either way (the property
-the CI determinism step ``cmp``'s).
+Each ``sharded_*`` function builds one ``(kind, kwargs)`` task per
+workload, hands the list to :func:`repro.sweep.runner.run_sharded`
+and merges the results in task order.  There is no serial twin:
+``jobs=1`` runs the same tasks inline, so the serialized output is
+byte-identical at every ``jobs`` value (the property the CI
+determinism steps ``cmp``), progress fires once per finished shard
+with the same line, and a ``trace`` list receives every shard's
+spans.
 """
 
 from __future__ import annotations
@@ -14,17 +16,22 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from functools import partial
+from typing import Any, Callable, Optional, Sequence
 
 from repro.sweep.runner import resolve_jobs, run_sharded
 
 Progress = Optional[Callable[[str], None]]
 
 
-def _fan_out(progress: Progress, fmt: Callable) -> Optional[Callable]:
-    if progress is None:
-        return None
-    return lambda kind, kwargs, result: progress(fmt(kwargs, result))
+def _sweep(tasks: list, jobs, progress: Progress,
+           line: Callable[[dict, Any], str],
+           trace: Optional[list]) -> list:
+    """Run ``tasks`` on the pool; ``line(kwargs, result)`` is the
+    progress message of one finished shard."""
+    note = (None if progress is None else
+            lambda kind, kwargs, result: progress(line(kwargs, result)))
+    return run_sharded(tasks, jobs, note, span_sink=trace)
 
 
 # -- per-command drivers -----------------------------------------------------
@@ -37,58 +44,38 @@ def sharded_metrics(workloads: Sequence, *, engine: str = "closures",
                     temporal: bool = False,
                     trace: Optional[list] = None,
                     jobs=None, progress: Progress = None):
-    """A :class:`~repro.obs.metrics.MetricsReport` over ``workloads``,
-    sharded one workload per task.  ``trace`` collects the merged span
-    records — under ``jobs > 1`` each worker captures its own spans
-    (:func:`repro.sweep.runner.run_task_traced`) and the parent merges
-    them onto its timeline, so the trace covers every worker pid while
-    the report bytes stay identical to the serial path's."""
-    from repro.obs.metrics import MetricsReport, collect_metrics
-    n = resolve_jobs(jobs)
-    if n <= 1 or len(workloads) <= 1:
-        return collect_metrics(
-            workloads, engine=engine, optimize=optimize, scale=scale,
-            timing=timing, provenance=provenance, temporal=temporal,
-            trace=trace, progress=progress)
-    ordered = sorted(workloads, key=lambda w: w.name)
+    """A :class:`~repro.obs.metrics.MetricsReport` over ``workloads``
+    (ordered by name), one workload per shard.  ``trace`` collects
+    every shard's span records, merged onto this process's timeline
+    (:func:`~repro.sweep.runner.run_task_traced`); the report bytes
+    never depend on it."""
+    from repro.obs.metrics import MetricsReport
     tasks = [("metrics", dict(name=w.name, engine=engine,
                               optimize=optimize, scale=scale,
                               timing=timing, provenance=provenance,
                               temporal=temporal))
-             for w in ordered]
-    results = run_sharded(tasks, n, _fan_out(
-        progress, lambda kw, wm: (f"{wm.name:>18}  ratio "
-                                  f"{wm.ccured_ratio:5.2f}x  "
-                                  f"checks {wm.checks_executed}")),
-        span_sink=trace)
+             for w in sorted(workloads, key=lambda w: w.name)]
     report = MetricsReport(
         engine=engine,
         optimize=optimize if optimize is not None else "flow",
         scale=scale)
-    report.workloads = results
+    report.workloads = _sweep(
+        tasks, jobs, progress,
+        lambda kw, wm: (f"{wm.name:>18}  ratio {wm.ccured_ratio:5.2f}x"
+                        f"  checks {wm.checks_executed}"),
+        trace)
     return report
 
 
 def sharded_lint(workloads: Sequence, *, optimize: str = "flow",
                  scale: Optional[int] = None, jobs=None,
                  progress: Progress = None,
-                 span_sink: Optional[list] = None) -> list:
+                 trace: Optional[list] = None) -> list:
     """Per-workload :class:`LintReport`s in input order."""
-    n = resolve_jobs(jobs)
-    if n <= 1 or len(workloads) <= 1:
-        from repro.analysis import lint_workload
-        reports = []
-        for w in workloads:
-            if progress is not None:
-                progress(f"linting {w.name}...")
-            reports.append(lint_workload(w, optimize=optimize,
-                                         scale=scale))
-        return reports
     tasks = [("lint", dict(name=w.name, optimize=optimize,
                            scale=scale)) for w in workloads]
-    return run_sharded(tasks, n, _fan_out(
-        progress, lambda kw, r: f"linted {kw['name']}"),
-        span_sink=span_sink)
+    return _sweep(tasks, jobs, progress,
+                  lambda kw, r: f"linted {kw['name']}", trace)
 
 
 def sharded_campaign(seed: int, campaign: str = "smoke", *,
@@ -97,54 +84,24 @@ def sharded_campaign(seed: int, campaign: str = "smoke", *,
                      scale: Optional[int] = None,
                      optimize: Optional[str] = None,
                      jobs=None, progress: Progress = None,
-                     span_sink: Optional[list] = None):
-    """A :class:`CampaignReport`, sharded one workload per task (every
-    mutation class of that workload runs in its shard).  Selection
-    errors surface before any worker starts, like the serial path."""
-    from repro.faults.campaign import CAMPAIGNS, run_campaign
-    from repro.faults.mutators import MUTATORS
-    from repro.workloads import all_workloads
-    n = resolve_jobs(jobs)
-    if n <= 1:
-        return run_campaign(seed, campaign, workloads=workloads,
-                            classes=classes, scale=scale,
-                            optimize=optimize, progress=progress)
-    if campaign not in CAMPAIGNS:
-        raise KeyError(f"unknown campaign {campaign!r} "
-                       f"(known: {', '.join(CAMPAIGNS)})")
-    if workloads is not None:
-        names: Sequence[str] = list(workloads)
-    else:
-        preset = CAMPAIGNS[campaign]
-        names = (preset if preset is not None
-                 else tuple(w.name for w in all_workloads()))
-    mclasses = tuple(classes) if classes is not None \
-        else tuple(MUTATORS)
-    for m in mclasses:
-        if m not in MUTATORS:
-            raise KeyError(f"unknown mutation class {m!r}")
-    from repro.faults.campaign import CampaignReport
-    from repro.workloads import get
-    for name in names:
-        get(name)                      # KeyError before the pool spins
-    tasks = [("campaign", dict(name=name, seed=seed,
-                               campaign=campaign,
-                               classes=list(mclasses), scale=scale,
-                               optimize=optimize))
+                     trace: Optional[list] = None):
+    """A :class:`CampaignReport`, one workload per shard (every
+    mutation class of that workload runs in its shard).  A bad
+    selection raises before any shard runs."""
+    from repro.faults.campaign import CampaignReport, select_campaign
+    names, mclasses = select_campaign(campaign, workloads=workloads,
+                                      classes=classes)
+    tasks = [("campaign", dict(name=name, seed=seed, classes=mclasses,
+                               scale=scale, optimize=optimize))
              for name in names]
-
-    def _note(kind, kwargs, variants):
-        if progress is None:
-            return
-        caught = sum(1 for v in variants if v.caught)
-        progress(f"{kwargs['name']:>18} {caught}/{len(variants)} "
-                 "caught")
-
-    results = run_sharded(tasks, n, _note if progress else None,
-                          span_sink=span_sink)
     report = CampaignReport(seed=seed, campaign=campaign, scale=scale,
                             classes=mclasses, optimize=optimize)
-    for variants in results:
+    for variants in _sweep(
+            tasks, jobs, progress,
+            lambda kw, vs: (f"{kw['name']:>18} "
+                            f"{sum(v.caught for v in vs)}/{len(vs)} "
+                            "caught"),
+            trace):
         report.variants.extend(variants)
     return report
 
@@ -152,22 +109,12 @@ def sharded_campaign(seed: int, campaign: str = "smoke", *,
 def sharded_analyze(workloads: Sequence, *,
                     scale: Optional[int] = None, jobs=None,
                     progress: Progress = None,
-                    span_sink: Optional[list] = None) -> list[dict]:
+                    trace: Optional[list] = None) -> list[dict]:
     """Per-workload ``repro analyze`` stats dicts in input order."""
-    n = resolve_jobs(jobs)
-    if n <= 1 or len(workloads) <= 1:
-        from repro.analysis import analyze_workload
-        out = []
-        for w in workloads:
-            out.append(analyze_workload(w, scale=scale))
-            if progress is not None:
-                progress(f"analyzed {w.name}")
-        return out
     tasks = [("analyze", dict(name=w.name, scale=scale))
              for w in workloads]
-    return run_sharded(tasks, n, _fan_out(
-        progress, lambda kw, r: f"analyzed {kw['name']}"),
-        span_sink=span_sink)
+    return _sweep(tasks, jobs, progress,
+                  lambda kw, r: f"analyzed {kw['name']}", trace)
 
 
 def sharded_lintval(seed: int = 1, *,
@@ -175,33 +122,27 @@ def sharded_lintval(seed: int = 1, *,
                     classes: Optional[Sequence[str]] = None,
                     optimize: str = "flow",
                     scale: Optional[int] = None, jobs=None,
-                    progress: Progress = None):
-    """The lint-validation differential, sharded per workload."""
-    from repro.faults.lintval import (aggregate_validation,
-                                      run_lint_validation)
-    from repro.faults.mutators import MUTATORS
-    from repro.workloads import all_workloads
-    n = resolve_jobs(jobs)
-    if n <= 1:
-        return run_lint_validation(
-            seed, workloads=workloads, classes=classes,
-            optimize=optimize, scale=scale, progress=progress)
-    ws = list(workloads) if workloads is not None \
-        else list(all_workloads())
-    cs = list(classes) if classes is not None else list(MUTATORS)
-    tasks = [("lintval", dict(name=w.name, classes=cs, seed=seed,
+                    progress: Progress = None,
+                    trace: Optional[list] = None):
+    """The lint-validation differential over ``workloads`` (default:
+    all), one workload per shard.  The selection is checked like a
+    campaign's, before any shard runs."""
+    from repro.faults.campaign import select_campaign
+    from repro.faults.lintval import aggregate_validation
+    names, cs = select_campaign(
+        "full", classes=classes,
+        workloads=(None if workloads is None
+                   else [w.name for w in workloads]))
+    tasks = [("lintval", dict(name=name, classes=cs, seed=seed,
                               optimize=optimize, scale=scale))
-             for w in ws]
-
-    def _note(kind, kwargs, variants):
-        if progress is None:
-            return
-        hits = sum(1 for v in variants if v.hit)
-        progress(f"lintval {kwargs['name']}: {hits} hits")
-
-    results = run_sharded(tasks, n, _note if progress else None)
-    collected = [v for variants in results for v in variants]
-    return aggregate_validation(seed, optimize, cs, collected)
+             for name in names]
+    results = _sweep(
+        tasks, jobs, progress,
+        lambda kw, vs: (f"lintval {kw['name']}: "
+                        f"{sum(v.hit for v in vs)} hits"),
+        trace)
+    return aggregate_validation(seed, optimize, cs,
+                                [v for vs in results for v in vs])
 
 
 # -- the full-matrix driver (`repro sweep`) ----------------------------------
@@ -259,28 +200,87 @@ class SweepSummary:
         return "\n".join(lines)
 
 
+@dataclass(frozen=True)
+class _Cell:
+    """One artifact of the matrix: a driver call awaiting ``jobs``,
+    ``progress`` and ``trace``, and how to read its result."""
+
+    name: str                # artifact name
+    kind: str                # metrics | lint | campaign | analyze
+    shards: int
+    run: Callable[..., Any]
+    dumps: Callable[[Any], str]                 # the artifact's text
+    verdict: Callable[[Any], tuple[bool, str]]  # (ok, detail)
+
+
+def _sweep_cells(targets: Sequence[str], engines: Sequence[str],
+                 levels: Sequence[Optional[str]], *, seed: int = 1337,
+                 campaign: str = "smoke",
+                 scale: Optional[int] = None) -> list[_Cell]:
+    """The matrix, enumerated once: one cell per artifact, in run
+    order.  An unknown target or campaign raises here, before any
+    cell runs."""
+    import json
+
+    from repro.analysis import reports_json
+    from repro.faults.campaign import select_campaign
+    from repro.faults.report import report_to_json
+    from repro.obs.serialize import stable_dumps
+    from repro.workloads import UnknownSelection, all_workloads
+
+    ws = list(all_workloads())
+    cells: list[_Cell] = []
+    for target in targets:
+        if target == "metrics":
+            cells += [_Cell(
+                f"metrics-{engine}-{level or 'flow'}", "metrics",
+                len(ws),
+                partial(sharded_metrics, ws, engine=engine,
+                        optimize=level, scale=scale),
+                lambda r: stable_dumps(r.to_json()),
+                lambda r: (True, f"{len(r.workloads)} workloads"))
+                for engine in engines for level in levels]
+        elif target == "lint":
+            cells += [_Cell(
+                f"lint-{level or 'flow'}", "lint", len(ws),
+                partial(sharded_lint, ws, optimize=level or "flow",
+                        scale=scale),
+                reports_json,
+                lambda rs: (True, f"{sum(len(r.diagnostics) for r in rs)}"
+                                  " findings"))
+                for level in levels]
+        elif target == "campaign":
+            names, _ = select_campaign(campaign)
+            cells += [_Cell(
+                f"faults-{campaign}-{level or 'flow'}", "campaign",
+                len(names),
+                partial(sharded_campaign, seed, campaign, scale=scale,
+                        optimize=level),
+                report_to_json,
+                lambda r: (r.ok, f"{r.caught}/{r.injected} caught"))
+                for level in levels]
+        elif target == "analyze":
+            cells.append(_Cell(
+                "analyze", "analyze", len(ws),
+                partial(sharded_analyze, ws, scale=scale),
+                lambda stats: json.dumps(stats, indent=2,
+                                         sort_keys=True) + "\n",
+                lambda stats: (True, f"{len(stats)} workloads")))
+        else:
+            raise UnknownSelection(
+                f"unknown sweep target {target!r} (known: metrics, "
+                "lint, campaign, analyze)")
+    return cells
+
+
 def count_sweep_shards(*, targets: Sequence[str],
                        engines: Sequence[str],
                        levels: Sequence[Optional[str]],
                        campaign: str = "smoke") -> int:
     """How many shard tasks :func:`run_sweep` will dispatch for this
     selection — the denominator of a live progress line."""
-    from repro.faults.campaign import CAMPAIGNS
-    from repro.workloads import all_workloads
-    n_ws = len(list(all_workloads()))
-    preset = CAMPAIGNS.get(campaign)
-    n_camp = len(preset) if preset is not None else n_ws
-    total = 0
-    for target in targets:
-        if target == "metrics":
-            total += len(engines) * len(levels) * n_ws
-        elif target == "lint":
-            total += len(levels) * n_ws
-        elif target == "campaign":
-            total += len(levels) * n_camp
-        elif target == "analyze":
-            total += n_ws
-    return total
+    return sum(c.shards for c in _sweep_cells(targets, engines, levels,
+                                              campaign=campaign))
 
 
 def run_sweep(*, targets: Sequence[str] = ("metrics", "lint",
@@ -301,20 +301,15 @@ def run_sweep(*, targets: Sequence[str] = ("metrics", "lint",
     cell) — the hook the CLI's ``--progress`` line hangs off.  With
     ``trace`` a list, the whole sweep runs under span capture: the
     parent contributes one ``dispatch`` span per artifact and every
-    worker ships its pipeline spans back (real pid/tid lanes), so one
+    shard ships its pipeline spans back (real pid/tid lanes), so one
     Chrome trace shows dispatch, per-shard parse/cure/exec, and cache
     hit/miss events across the entire pool."""
-    import json as _json
-
-    from repro.analysis import reports_json
     from repro.cache import get_cache
-    from repro.faults.report import report_to_json
-    from repro.obs.serialize import stable_dumps
     from repro.obs.tracer import TRACER
-    from repro.workloads import all_workloads
 
+    cells = _sweep_cells(targets, engines, levels, seed=seed,
+                         campaign=campaign, scale=scale)
     n = resolve_jobs(jobs)
-    ws = list(all_workloads())
     summary = SweepSummary(jobs=n)
     # Cache traffic is measured through the persistent (cross-
     # process) counters so shard traffic counts under jobs > 1.
@@ -330,103 +325,26 @@ def run_sweep(*, targets: Sequence[str] = ("metrics", "lint",
             f.write(text)
         return path
 
-    def note(line: str) -> None:
-        if progress is not None:
-            progress(line)
-
-    def tick(line: str) -> None:
-        if shard_progress is not None:
-            shard_progress(line)
-
-    shard_cb = None if shard_progress is None else tick
-
     def body() -> None:
-        for target in targets:
-            if target == "metrics":
-                for engine in engines:
-                    for level in levels:
-                        name = f"metrics-{engine}-{level or 'flow'}"
-                        t0 = time.perf_counter()
-                        with TRACER.span("dispatch", artifact=name,
-                                         jobs=n):
-                            report = sharded_metrics(
-                                ws, engine=engine, optimize=level,
-                                scale=scale, jobs=n, trace=trace,
-                                progress=shard_cb)
-                        dt = time.perf_counter() - t0
-                        path = emit(name,
-                                    stable_dumps(report.to_json()))
-                        summary.artifacts.append(SweepArtifact(
-                            name=name, kind="metrics", seconds=dt,
-                            ok=True,
-                            detail=(f"{len(report.workloads)} "
-                                    "workloads"),
-                            path=path))
-                        note(f"{name}: {dt:.2f}s")
-            elif target == "lint":
-                for level in levels:
-                    name = f"lint-{level or 'flow'}"
-                    t0 = time.perf_counter()
-                    with TRACER.span("dispatch", artifact=name,
-                                     jobs=n):
-                        reports = sharded_lint(
-                            ws, optimize=level or "flow",
-                            scale=scale, jobs=n, span_sink=trace,
-                            progress=shard_cb)
-                    dt = time.perf_counter() - t0
-                    findings = sum(len(r.diagnostics)
-                                   for r in reports)
-                    path = emit(name, reports_json(reports))
-                    summary.artifacts.append(SweepArtifact(
-                        name=name, kind="lint", seconds=dt, ok=True,
-                        detail=f"{findings} findings", path=path))
-                    note(f"{name}: {dt:.2f}s")
-            elif target == "campaign":
-                for level in levels:
-                    name = f"faults-{campaign}-{level or 'flow'}"
-                    t0 = time.perf_counter()
-                    with TRACER.span("dispatch", artifact=name,
-                                     jobs=n):
-                        report = sharded_campaign(
-                            seed, campaign, scale=scale,
-                            optimize=level, jobs=n, span_sink=trace,
-                            progress=shard_cb)
-                    dt = time.perf_counter() - t0
-                    path = emit(name, report_to_json(report))
-                    summary.artifacts.append(SweepArtifact(
-                        name=name, kind="campaign", seconds=dt,
-                        ok=report.ok,
-                        detail=(f"{report.caught}/{report.injected} "
-                                "caught"),
-                        path=path))
-                    note(f"{name}: {dt:.2f}s")
-            elif target == "analyze":
-                name = "analyze"
-                t0 = time.perf_counter()
-                with TRACER.span("dispatch", artifact=name, jobs=n):
-                    stats = sharded_analyze(ws, scale=scale, jobs=n,
-                                            span_sink=trace,
-                                            progress=shard_cb)
-                dt = time.perf_counter() - t0
-                text = _json.dumps(stats, indent=2,
-                                   sort_keys=True) + "\n"
-                path = emit(name, text)
-                summary.artifacts.append(SweepArtifact(
-                    name=name, kind="analyze", seconds=dt, ok=True,
-                    detail=f"{len(stats)} workloads", path=path))
-                note(f"{name}: {dt:.2f}s")
-            else:
-                raise KeyError(
-                    f"unknown sweep target {target!r} (known:"
-                    " metrics, lint, campaign, analyze)")
+        for cell in cells:
+            t0 = time.perf_counter()
+            with TRACER.span("dispatch", artifact=cell.name, jobs=n):
+                result = cell.run(jobs=n, progress=shard_progress,
+                                  trace=trace)
+            dt = time.perf_counter() - t0
+            ok, detail = cell.verdict(result)
+            summary.artifacts.append(SweepArtifact(
+                name=cell.name, kind=cell.kind, seconds=dt, ok=ok,
+                detail=detail, path=emit(cell.name, cell.dumps(result))))
+            if progress is not None:
+                progress(f"{cell.name}: {dt:.2f}s")
 
     if trace is None:
         body()
     else:
-        # Parent-side spans (dispatch, serial-path pipeline work,
-        # cache traffic) record into the capture; worker spans arrive
-        # through the drivers' span sinks, rebased onto the same
-        # tracer epoch — one merged timeline.
+        # Dispatch spans record into the parent's capture; every
+        # shard's spans arrive through the drivers' span sinks,
+        # rebased onto the same tracer epoch — one merged timeline.
         with TRACER.capture() as parent_records:
             body()
         trace.extend(parent_records)

@@ -9,15 +9,15 @@ machinery is chosen for determinism:
   method) and take only plain data, so a shard re-runs identically in
   any process;
 * results land in a list indexed by submission order, so the merge
-  never sees completion order — a sharded sweep's serialized output is
-  byte-identical to the serial path's;
+  never sees completion order — a sweep's serialized output is
+  byte-identical at every ``jobs`` value;
 * every shard shares the content-addressed cure cache
   (:mod:`repro.cache`), so N workers curing the same 27 workloads pay
   each parse/cure once across the whole pool.
 
-``jobs <= 1`` bypasses the pool entirely and runs the same task
-functions inline — the serial path and the sharded path are the same
-code by construction.
+``jobs <= 1`` bypasses the pool and runs the same task functions
+inline, with the same progress and span-sink callbacks — there is no
+separate serial path.
 """
 
 from __future__ import annotations
@@ -70,15 +70,13 @@ def _task_lint(name: str, optimize: str,
     return lint_workload(get(name), optimize=optimize, scale=scale)
 
 
-def _task_campaign(name: str, seed: int, campaign: str,
-                   classes: Optional[Sequence[str]],
+def _task_campaign(name: str, seed: int, classes: Sequence[str],
                    scale: Optional[int],
                    optimize: Optional[str]) -> Any:
-    from repro.faults.campaign import run_campaign
-    report = run_campaign(seed, campaign, workloads=[name],
-                          classes=classes, scale=scale,
-                          optimize=optimize)
-    return report.variants
+    from repro.faults.campaign import campaign_workload
+    from repro.workloads import get
+    return campaign_workload(get(name), classes, seed, scale=scale,
+                             optimize=optimize)
 
 
 def _task_analyze(name: str, scale: Optional[int]) -> Any:
@@ -173,8 +171,8 @@ def run_sharded(tasks: Sequence[Task], jobs: Union[int, str, None],
                 span_sink: Optional[list] = None) -> list:
     """Run every task, ``jobs`` at a time, returning results in task
     order (never completion order).  A shard that raises aborts the
-    sweep with the original exception, matching the serial path's
-    failure semantics; ``progress`` fires per completed shard.
+    sweep with the original exception; ``progress`` fires once per
+    completed shard.
 
     With ``span_sink`` a list, every shard runs under span capture
     (:func:`run_task_traced`) — serial and pooled alike — and the

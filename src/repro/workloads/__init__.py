@@ -165,8 +165,23 @@ WORKLOADS: dict[str, Workload] = {w.name: w for w in [
 ]}
 
 
+class UnknownSelection(KeyError):
+    """A selection names a workload, campaign, mutation class or sweep
+    target that does not exist.  Still a ``KeyError``, but a type of
+    its own, so the CLI reports a bad selection (exit 2) while a real
+    ``KeyError`` bug keeps its traceback."""
+
+    def __str__(self) -> str:
+        return str(self.args[0])
+
+
 def get(name: str) -> Workload:
-    return WORKLOADS[name]
+    try:
+        return WORKLOADS[name]
+    except KeyError:
+        raise UnknownSelection(
+            f"unknown workload {name!r} "
+            "(see `python -m repro workloads`)") from None
 
 
 def by_category(category: str) -> list[Workload]:

@@ -7,11 +7,12 @@ import pytest
 
 from repro.bench.harness import (pristine_parse, run_suite)
 from repro.core import CureOptions, cure
-from repro.faults import (MUTATORS, make_variant, graft, run_campaign,
+from repro.faults import (MUTATORS, make_variant, graft,
                           report_to_json)
 from repro.faults.campaign import run_variant
 from repro.interp import run_cured, run_raw
 from repro.runtime.checks import BoundsError, InterpreterLimitError
+from repro.sweep import sharded_campaign
 from repro.workloads import Workload, get
 
 SEED = 1337
@@ -76,14 +77,15 @@ def test_variant_traps_on_small_workload(mclass):
 def test_campaign_deterministic_json():
     kw = dict(workloads=["olden_power"],
               classes=["null-deref", "use-after-return"], scale=2)
-    a = report_to_json(run_campaign(SEED, "smoke", **kw))
-    b = report_to_json(run_campaign(SEED, "smoke", **kw))
+    a = report_to_json(sharded_campaign(SEED, "smoke", **kw))
+    b = report_to_json(sharded_campaign(SEED, "smoke", **kw))
     assert a == b
 
 
 def test_campaign_summary_counts():
-    r = run_campaign(SEED, "smoke", workloads=["olden_power"],
-                     classes=["null-deref", "bad-downcast"], scale=2)
+    r = sharded_campaign(SEED, "smoke", workloads=["olden_power"],
+                         classes=["null-deref", "bad-downcast"],
+                         scale=2)
     assert r.injected == 2
     assert r.caught == 2
     assert r.agreed == 2
@@ -116,9 +118,9 @@ def test_flow_optimized_variant_still_traps(mclass):
 
 
 def test_campaign_json_records_optimize_level():
-    r = run_campaign(SEED, "smoke", workloads=["olden_power"],
-                     classes=["null-deref"], scale=2,
-                     optimize="flow")
+    r = sharded_campaign(SEED, "smoke", workloads=["olden_power"],
+                         classes=["null-deref"], scale=2,
+                         optimize="flow")
     assert r.ok
     assert r.to_json()["optimize"] == "flow"
 

@@ -19,9 +19,9 @@ from repro.cil import stmt as S
 from repro.cli import main
 from repro.core import CureOptions, cure
 from repro.core.options import OPTIMIZE_LEVELS
-from repro.faults.lintval import (STATIC_CLASSES,
-                                  run_lint_validation)
+from repro.faults.lintval import STATIC_CLASSES
 from repro.faults.mutators import graft, make_variant
+from repro.sweep import sharded_lintval
 from repro.workloads import all_workloads, get
 
 ALL_NAMES = [w.name for w in all_workloads()]
@@ -359,7 +359,7 @@ class TestCampaignValidation:
 
     def test_smoke_static_classes_all_flagged(self):
         ws = [get("olden_power"), get("ptrdist_anagram")]
-        val = run_lint_validation(
+        val = sharded_lintval(
             1, workloads=ws, classes=sorted(STATIC_CLASSES),
             optimize="flow")
         assert val.ok, val.render()
@@ -379,10 +379,10 @@ class TestCampaignValidation:
 
     def test_validation_json_deterministic(self):
         ws = [get("olden_power")]
-        a = run_lint_validation(7, workloads=ws,
-                                classes=["null-deref"]).dumps()
-        b = run_lint_validation(7, workloads=ws,
-                                classes=["null-deref"]).dumps()
+        a = sharded_lintval(7, workloads=ws,
+                            classes=["null-deref"]).dumps()
+        b = sharded_lintval(7, workloads=ws,
+                            classes=["null-deref"]).dumps()
         assert a == b
 
 

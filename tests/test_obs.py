@@ -8,11 +8,12 @@ import pytest
 from repro.cli import main
 from repro.core import CureOptions, cure
 from repro.interp import ENGINES, run_cured
-from repro.obs import (SCHEMA, TRACER, Thresholds, collect_metrics,
+from repro.obs import (SCHEMA, TRACER, Thresholds,
                        collect_workload_metrics, diff_reports,
                        render_diff, render_report, round_floats,
                        site_table, stable_dumps)
 from repro.obs.tracer import Tracer, phase_seconds_of
+from repro.sweep import sharded_metrics
 from repro.workloads import get
 
 LOOPY = r'''
@@ -159,7 +160,7 @@ class TestMetrics:
         ws = [get("olden_power"), get("olden_treeadd")]
         blobs = []
         for _ in range(2):
-            report = collect_metrics(ws)
+            report = sharded_metrics(ws)
             blobs.append(stable_dumps(report.to_json()))
         assert blobs[0] == blobs[1]
         payload = json.loads(blobs[0])
@@ -174,7 +175,7 @@ class TestMetrics:
         assert "phases" in wm.to_json(include_timing=True)
 
     def test_render_report_table(self):
-        report = collect_metrics([get("olden_power")])
+        report = sharded_metrics([get("olden_power")])
         out = render_report(report)
         assert "olden_power" in out
         assert "TOTAL" in out
@@ -194,7 +195,7 @@ class TestMetrics:
 class TestDiff:
     @pytest.fixture(scope="class")
     def report_json(self):
-        report = collect_metrics([get("olden_power"),
+        report = sharded_metrics([get("olden_power"),
                                   get("olden_treeadd")])
         return report.to_json()
 

@@ -1,5 +1,5 @@
-"""Sharded sweeps: byte-identity with the serial path, under a real
-two-worker process pool.
+"""Sweep drivers: byte-identity between ``jobs=1`` (the shards run
+inline) and a real two-worker process pool.
 
 Every assertion here compares serialized artifacts with ``==`` on the
 full text — the same check CI's determinism step performs with
@@ -8,16 +8,17 @@ but "the same bytes".
 """
 
 import json
+from functools import partial
 
 import pytest
 
 from repro.cli import main
 from repro.obs.serialize import stable_dumps
-from repro.sweep import (resolve_jobs, run_sharded, run_sweep,
-                         sharded_analyze, sharded_campaign,
+from repro.sweep import (count_sweep_shards, resolve_jobs, run_sharded,
+                         run_sweep, sharded_analyze, sharded_campaign,
                          sharded_lint, sharded_lintval,
                          sharded_metrics)
-from repro.workloads import all_workloads, get
+from repro.workloads import UnknownSelection, all_workloads, get
 
 SOME = sorted(all_workloads(), key=lambda w: w.name)[:4]
 
@@ -54,62 +55,92 @@ def test_run_sharded_propagates_worker_errors():
                                   "scale": None})], 2)
 
 
-# -- per-driver byte-identity (serial vs jobs=2) -----------------------------
+# -- per-driver: one path, the same bytes and ticks at jobs 1 and 2 ---------
+
+
+def _at_jobs_1_and_2(driver, dumps, shards):
+    """Run ``driver(jobs=, progress=)`` at jobs 1 and 2: the output is
+    byte-identical, and progress fires once per shard with the same
+    lines (in completion order under the pool).  Returns the jobs=1
+    progress lines."""
+    texts, ticks = [], []
+    for jobs in (1, 2):
+        lines: list = []
+        texts.append(dumps(driver(jobs=jobs, progress=lines.append)))
+        ticks.append(lines)
+    assert texts[0] == texts[1]
+    assert len(ticks[0]) == shards
+    assert sorted(ticks[0]) == sorted(ticks[1])
+    return ticks[0]
 
 
 def test_sharded_metrics_byte_identical():
-    from repro.obs.metrics import collect_metrics
-    serial = stable_dumps(collect_metrics(SOME).to_json())
-    pooled = stable_dumps(sharded_metrics(SOME, jobs=2).to_json())
-    assert pooled == serial
+    lines = _at_jobs_1_and_2(partial(sharded_metrics, SOME),
+                             lambda r: stable_dumps(r.to_json()),
+                             len(SOME))
+    # perf/child.py reads the workload name off the front of the line
+    assert [line.split()[0] for line in lines] == [w.name for w in SOME]
 
 
 def test_sharded_lint_byte_identical():
-    from repro.analysis import lint_workload, reports_json
-    serial = reports_json([lint_workload(w) for w in SOME])
-    pooled = reports_json(sharded_lint(SOME, jobs=2))
-    assert pooled == serial
+    from repro.analysis import reports_json
+    _at_jobs_1_and_2(partial(sharded_lint, SOME), reports_json,
+                     len(SOME))
 
 
 def test_sharded_campaign_byte_identical():
-    from repro.faults.campaign import run_campaign
     from repro.faults.report import report_to_json
     names = ["olden_power", "ptrdist_anagram"]
-    serial = report_to_json(run_campaign(
-        11, "smoke", workloads=names, optimize="local"))
-    pooled = report_to_json(sharded_campaign(
-        11, "smoke", workloads=names, optimize="local", jobs=2))
-    assert pooled == serial
+    _at_jobs_1_and_2(partial(sharded_campaign, 11, "smoke",
+                             workloads=names, optimize="local"),
+                     report_to_json, len(names))
 
 
-def test_sharded_campaign_rejects_unknown_selection():
-    with pytest.raises(KeyError):
-        sharded_campaign(1, "no-such-campaign", jobs=2)
-    with pytest.raises(KeyError):
+def _no_shards(*args, **kwargs):
+    raise AssertionError("a shard ran for a bad selection")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sharded_campaign_rejects_unknown_selection(jobs, monkeypatch):
+    monkeypatch.setattr("repro.sweep.drivers.run_sharded", _no_shards)
+    with pytest.raises(UnknownSelection):
+        sharded_campaign(1, "no-such-campaign", jobs=jobs)
+    with pytest.raises(UnknownSelection):
         sharded_campaign(1, "smoke", classes=["no-such-class"],
-                         jobs=2)
-    with pytest.raises(KeyError):
-        sharded_campaign(1, "smoke", workloads=["no-such-workload"],
-                         jobs=2)
+                         jobs=jobs)
+    with pytest.raises(UnknownSelection):
+        sharded_campaign(1, "smoke",
+                         workloads=["olden_power", "no-such-workload"],
+                         jobs=jobs)
 
 
 def test_sharded_analyze_byte_identical():
-    from repro.analysis import analyze_workload
-    serial = json.dumps([analyze_workload(w) for w in SOME],
-                        indent=2, sort_keys=True)
-    pooled = json.dumps(sharded_analyze(SOME, jobs=2),
-                        indent=2, sort_keys=True)
-    assert pooled == serial
+    _at_jobs_1_and_2(partial(sharded_analyze, SOME),
+                     lambda r: json.dumps(r, indent=2, sort_keys=True),
+                     len(SOME))
 
 
 def test_sharded_lintval_byte_identical():
-    from repro.faults.lintval import run_lint_validation
     ws = [get("olden_power"), get("ftpd")]
     cs = ["null-deref", "double-free"]
-    serial = run_lint_validation(3, workloads=ws, classes=cs).dumps()
-    pooled = sharded_lintval(3, workloads=ws, classes=cs,
-                             jobs=2).dumps()
-    assert pooled == serial
+    _at_jobs_1_and_2(partial(sharded_lintval, 3, workloads=ws,
+                             classes=cs),
+                     lambda v: v.dumps(), len(ws))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sharded_lintval_rejects_unknown_class(jobs, monkeypatch):
+    monkeypatch.setattr("repro.sweep.drivers.run_sharded", _no_shards)
+    with pytest.raises(UnknownSelection):
+        sharded_lintval(1, workloads=[get("olden_power")],
+                        classes=["null-deref", "no-such-class"],
+                        jobs=jobs)
+
+
+def test_collect_profile_progress_per_shard():
+    from repro.obs.profile import collect_profile
+    _at_jobs_1_and_2(partial(collect_profile, SOME[:2]),
+                     lambda r: stable_dumps(r.to_json()), 2)
 
 
 # -- the matrix driver -------------------------------------------------------
@@ -127,9 +158,20 @@ def test_run_sweep_writes_deterministic_artifacts(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_run_sweep_rejects_unknown_target():
-    with pytest.raises(KeyError):
-        run_sweep(targets=("no-such",), jobs=1)
+def test_run_sweep_rejects_unknown_target(monkeypatch):
+    monkeypatch.setattr("repro.sweep.drivers.run_sharded", _no_shards)
+    with pytest.raises(UnknownSelection):
+        run_sweep(targets=("lint", "no-such"), jobs=1)
+
+
+def test_run_sweep_ticks_once_per_counted_shard():
+    ticks: list = []
+    summary = run_sweep(targets=("campaign",), jobs=1,
+                        shard_progress=ticks.append)
+    assert summary.ok
+    assert len(ticks) == count_sweep_shards(
+        targets=("campaign",), engines=("closures",),
+        levels=("flow",)) == 4
 
 
 # -- CLI ---------------------------------------------------------------------
@@ -145,6 +187,66 @@ def test_cli_metrics_jobs_byte_identical(tmp_path, capsys):
                  "--jobs", "2", "--json", str(pooled)]) == 0
     capsys.readouterr()
     assert pooled.read_bytes() == serial.read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_metrics_timing_trace_keeps_pipeline_spans(jobs, tmp_path,
+                                                       capsys):
+    """--timing's own span capture must not hide the pipeline spans
+    from the shard capture the trace is built from."""
+    from repro.bench.harness import clear_program_cache
+    clear_program_cache()
+    trace = tmp_path / "trace.json"
+    assert main(["metrics", "--workload", "olden_power,ptrdist_anagram",
+                 "--timing", "--trace", str(trace), "--jobs", jobs,
+                 "--quiet"]) == 0
+    capsys.readouterr()
+    doc = json.loads(trace.read_text())
+    names = {e["name"] for e in doc["traceEvents"] if e["ph"] == "X"}
+    assert {"shard", "workload", "parse", "cure", "exec"} <= names
+
+
+BAD_SELECTIONS = [
+    (["faults", "lint", "--workloads", "olden_power",
+      "--classes", "nope"], "unknown mutation class 'nope'"),
+    (["faults", "run", "--classes", "nope"],
+     "unknown mutation class 'nope'"),
+    (["faults", "run", "--workloads", "nope"], "unknown workload 'nope'"),
+    (["faults", "lint", "--workloads", "nope"],
+     "unknown workload 'nope'"),
+    (["faults", "run", "--workloads", "olden_power,nope"],
+     "unknown workload 'nope'"),
+    (["lint", "--workload", "nope"], "unknown workload 'nope'"),
+    (["metrics", "--workload", "nope"], "unknown workload 'nope'"),
+    (["analyze", "--workload", "nope"], "unknown workload 'nope'"),
+    (["profile", "--workload", "nope"], "unknown workload 'nope'"),
+    (["sweep", "--targets", "lint,nope"],
+     "unknown sweep target 'nope'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", BAD_SELECTIONS,
+                         ids=[" ".join(a) for a, _ in BAD_SELECTIONS])
+def test_cli_bad_selection_exits_2_before_any_work(argv, message,
+                                                   monkeypatch,
+                                                   capsys):
+    monkeypatch.setattr("repro.sweep.runner.run_task", _no_shards)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith(f"{argv[0]}: ") and message in err
+    assert err.count("\n") == 1                 # one line, no traceback
+    assert out == ""
+
+
+def test_cli_genuine_keyerror_keeps_its_traceback(monkeypatch):
+    from repro.sweep import runner
+
+    def bug(**kwargs):
+        raise KeyError("a bug, not a selection")
+
+    monkeypatch.setitem(runner._TASKS, "lint", bug)
+    with pytest.raises(KeyError, match="a bug"):
+        main(["lint", "--workload", "olden_power", "--quiet"])
 
 
 def test_cli_rejects_invalid_jobs(capsys):
