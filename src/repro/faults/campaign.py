@@ -229,20 +229,21 @@ def run_variant(w: Workload, spec: FaultSpec, *,
     return report
 
 
-def select_campaign(campaign: str, *,
+def select_campaign(campaign: Optional[str], *,
                     workloads: Optional[Sequence[str]] = None,
                     classes: Optional[Sequence[str]] = None,
                     ) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Resolve a campaign selection to ``(workload names, mutation
-    classes)``.  ``workloads`` overrides the preset's workload set and
+    classes)``.  ``workloads`` overrides the preset's workload set
+    (``campaign=None`` names no preset: every workload) and
     ``classes`` the default of every class.  Every name is checked
     here, so a bad selection raises :class:`UnknownSelection` before
     any variant runs."""
-    if campaign not in CAMPAIGNS:
+    if campaign is not None and campaign not in CAMPAIGNS:
         raise UnknownSelection(f"unknown campaign {campaign!r} "
                                f"(known: {', '.join(CAMPAIGNS)})")
     if workloads is None:
-        preset = CAMPAIGNS[campaign]
+        preset = None if campaign is None else CAMPAIGNS[campaign]
         workloads = (preset if preset is not None
                      else [w.name for w in all_workloads()])
     names = tuple(get(name).name for name in workloads)

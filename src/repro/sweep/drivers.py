@@ -7,8 +7,8 @@ and merges the results in task order.  There is no serial twin:
 ``jobs=1`` runs the same tasks inline, so the serialized output is
 byte-identical at every ``jobs`` value (the property the CI
 determinism steps ``cmp``), progress fires once per finished shard
-with the same line, and a ``trace`` list receives every shard's
-spans.
+with the same line, and the drivers ``run_sweep`` calls take a
+``trace`` list that receives every shard's spans.
 """
 
 from __future__ import annotations
@@ -122,15 +122,14 @@ def sharded_lintval(seed: int = 1, *,
                     classes: Optional[Sequence[str]] = None,
                     optimize: str = "flow",
                     scale: Optional[int] = None, jobs=None,
-                    progress: Progress = None,
-                    trace: Optional[list] = None):
+                    progress: Progress = None):
     """The lint-validation differential over ``workloads`` (default:
     all), one workload per shard.  The selection is checked like a
     campaign's, before any shard runs."""
     from repro.faults.campaign import select_campaign
     from repro.faults.lintval import aggregate_validation
     names, cs = select_campaign(
-        "full", classes=classes,
+        None, classes=classes,
         workloads=(None if workloads is None
                    else [w.name for w in workloads]))
     tasks = [("lintval", dict(name=name, classes=cs, seed=seed,
@@ -140,7 +139,7 @@ def sharded_lintval(seed: int = 1, *,
         tasks, jobs, progress,
         lambda kw, vs: (f"lintval {kw['name']}: "
                         f"{sum(v.hit for v in vs)} hits"),
-        trace)
+        None)
     return aggregate_validation(seed, optimize, cs,
                                 [v for vs in results for v in vs])
 

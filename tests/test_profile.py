@@ -71,10 +71,14 @@ class TestCollection:
         assert stable_dumps(a.to_json()) == stable_dumps(b.to_json())
 
     def test_collect_profile_sharded_byte_identical(self):
-        serial = collect_profile(SOME, jobs=1)
-        pooled = collect_profile(SOME, jobs=2)
+        ticks: tuple[list, list] = ([], [])
+        serial = collect_profile(SOME, jobs=1, progress=ticks[0].append)
+        pooled = collect_profile(SOME, jobs=2, progress=ticks[1].append)
         assert stable_dumps(serial.to_json()) \
             == stable_dumps(pooled.to_json())
+        # one progress line per shard, the same lines at both jobs
+        assert len(ticks[0]) == len(SOME)
+        assert sorted(ticks[0]) == sorted(ticks[1])
 
     def test_collect_profile_trace_sink_and_progress(self):
         sink: list = []

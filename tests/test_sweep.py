@@ -137,12 +137,6 @@ def test_sharded_lintval_rejects_unknown_class(jobs, monkeypatch):
                         jobs=jobs)
 
 
-def test_collect_profile_progress_per_shard():
-    from repro.obs.profile import collect_profile
-    _at_jobs_1_and_2(partial(collect_profile, SOME[:2]),
-                     lambda r: stable_dumps(r.to_json()), 2)
-
-
 # -- the matrix driver -------------------------------------------------------
 
 
