@@ -84,12 +84,12 @@ def analyze_source(source: str, name: str = "program",
 
 
 def analyze_workload(w, scale: Optional[int] = None) -> dict:
-    """Analyze one benchmark workload at ``optimize="none"`` through
-    the shared pristine parse/cure caches — the unit of work one shard
-    of a ``repro analyze`` sweep runs."""
-    from repro.bench.harness import cached_cure
-    cured = cached_cure(w, options=CureOptions(optimize="none"),
-                        scale=scale)
+    """Analyze one benchmark workload at ``optimize="none"`` on the
+    shared pristine cure, which it only reads — the unit of work one
+    shard of a ``repro analyze`` sweep runs."""
+    from repro.bench.harness import pristine_cure
+    cured = pristine_cure(w, options=CureOptions(optimize="none"),
+                          scale=scale)
     return analyze_cured(cured)
 
 

@@ -10,25 +10,27 @@ For one workload the harness produces a :class:`BenchRow` containing:
 * cast census, trusted-cast and split statistics for the Section 3/5
   analyses.
 
-Every mode gets a *fresh tree* of the program: curing mutates the IR
-(check insertion, qualifier solving), so tools never share trees.
-Instead of re-parsing and re-curing per tool, the harness keeps a
-module-level cache of pristine parses and cures keyed by
-``(workload, scale)`` resp. ``(workload, scale, CureOptions)`` and
-deep-copies a cached tree on every use — same isolation, a fraction
-of the cost (a whole-tree ``copy.deepcopy`` is one pickle round trip,
-:func:`repro.cil.program.deepcopy_tree`).  All measurements are
-deterministic (the cost model is
-exact), so a table regenerates identically on every run; the harness
-exploits the same determinism to memoize whole *measurements*: a
-``(workload, scale, engine, max_steps, tool, optimize-level,
-options)`` run (see :func:`_result_key` — the engine and the
-check-elimination level are always explicit in the key) yields the
-same ``(cycles, status, steps, stdout, checks)`` every time, so
-repeat requests across table tests are answered from
-``_RESULT_CACHE`` instead of re-interpreting the program.
-Executions themselves run on
-the pristine cached trees — interpretation never mutates the IR (the
+Every (workload, configuration) is served from one parse and one
+cure.  One in-process memo, :data:`_MEMO`, sits in front of the
+on-disk cure cache (:mod:`repro.cache`).  An entry is keyed by kind,
+workload name and resolved scale, plus the cure options in
+:func:`~repro.cache.canonical_options` form — the tuple the disk key
+hashes, so ``pristine_cure(w)`` and ``pristine_cure(w, CureOptions(
+trust_bad_casts=w.trust_bad_casts))`` are one entry in memory and on
+disk.  A parse or cure comes from the memo, else from the store, else
+is made and stored (:func:`_stored`); a memo hit never reaches the
+store.  The pristine trees are shared and read-only: curing mutates
+the IR, so a caller that cures takes a deep copy first (a whole-tree
+``copy.deepcopy`` is one pickle round trip,
+:func:`repro.cil.program.deepcopy_tree`).
+
+All measurements are deterministic (the cost model is exact), so the
+memo also holds whole *measurements*: a run keyed by
+:func:`_result_key` (the engine and the check-elimination level are
+always explicit) yields the same ``(cycles, status, steps, stdout,
+checks)`` every time, and repeat requests across table tests are
+answered without re-interpreting the program.  Executions run on the
+pristine trees — interpretation never mutates the IR (the
 interpreter only stamps idempotent per-``Varinfo``/type caches), so
 no defensive copy is needed for a measurement, and the closure
 engine's per-``Fundec`` compilation is shared across every test.
@@ -40,19 +42,20 @@ import copy
 import difflib
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Any, Callable, Optional
 
 from repro.baselines import PurifyChecker, ValgrindChecker
-from repro.cache import (canonical_options, cure_key, get_cache,
-                         options_key as _options_key, parse_key)
+from repro.cache import canonical_options, cure_key, get_cache, parse_key
 from repro.cil.program import Program
 from repro.core import CureOptions, CuredProgram, cure as _cure
-from repro.cpp import PreprocessError
+from repro.cpp import Preprocessor
 from repro.frontend import parse_preprocessed
 from repro.interp import ExecResult, run_cured, run_raw
-from repro.runtime.checks import (CheckFailure, InterpreterLimitError,
-                                  MemorySafetyError)
-from repro.workloads import Workload
+from repro.obs.tracer import TRACER
+from repro.workloads import PROGRAM_DIR, UnknownSelection, Workload
+
+#: the tools :func:`run_workload` measures beside the raw run
+TOOLS = ("ccured", "purify", "valgrind")
 
 
 @dataclass
@@ -115,34 +118,30 @@ def count_lines(source: str) -> int:
                if line.strip() and not line.strip().startswith("//"))
 
 
-# -- parse/cure cache --------------------------------------------------------
-#
-# Pristine trees keyed by workload identity; every use hands out a deep
-# copy, so a caller curing (mutating) its tree can never poison the
-# cache or a sibling tool's run.
+# -- the in-process memo ------------------------------------------------------
 
-_SOURCE_CACHE: dict[str, str] = {}
-_PARSE_CACHE: dict[tuple, Program] = {}
-_CURE_CACHE: dict[tuple, CuredProgram] = {}
-#: preprocessed text + lint suppressions per (workload, scale) — the
-#: content half of a disk-cache key (see :mod:`repro.cache.keys`)
-_PP_CACHE: dict[tuple, tuple[str, tuple]] = {}
-#: memoized measurements:
-#: key -> (cycles, status, steps, stdout, checks executed)
-_RESULT_CACHE: dict[tuple, tuple[int, int, int, str, int]] = {}
+#: (kind, workload name, resolved scale, canonical options, ...) -> value
+_MEMO: dict[tuple, Any] = {}
 
-# The canonical CureOptions identity lives in repro.cache.keys now
-# (imported above as _options_key): the in-process memoization and the
-# on-disk cure cache key options the same way by construction.
+
+def _memo(key: tuple, make: Callable[[], Any]) -> Any:
+    """The memo entry under ``key``, made on first use."""
+    got = _MEMO.get(key)
+    if got is None:
+        got = _MEMO[key] = make()
+    return got
+
+
+def _key(kind: str, w: Workload, scale: Optional[int],
+         opts: Optional[tuple] = None) -> tuple:
+    return (kind, w.name, scale if scale is not None else w.scale, opts)
 
 
 def cached_source(w: Workload) -> str:
-    """The workload's source text (generators like ijpeg are not free)."""
-    src = _SOURCE_CACHE.get(w.name)
-    if src is None:
-        src = w.source()
-        _SOURCE_CACHE[w.name] = src
-    return src
+    """The workload's source text (generators like ijpeg are not
+    free).  It does not depend on the scale, so it is keyed at the
+    workload's default."""
+    return _memo(_key("source", w, None), w.source)
 
 
 def _preprocessed(w: Workload,
@@ -150,19 +149,36 @@ def _preprocessed(w: Workload,
     """The preprocessed source text and the lint-suppression set —
     what the C parser consumes, and the content half of the
     workload's disk-cache key (traced as a ``preprocess`` span)."""
-    key = (w.name, scale if scale is not None else w.scale)
-    got = _PP_CACHE.get(key)
-    if got is None:
-        from repro.cpp.preprocessor import Preprocessor
-        from repro.obs.tracer import TRACER
-        from repro.workloads import PROGRAM_DIR
+    def preprocess() -> tuple[str, tuple]:
         filename = w.name + ".c"
         with TRACER.span("preprocess", file=filename):
             pp = Preprocessor([PROGRAM_DIR], w._defines(scale))
             text = pp.preprocess(cached_source(w), filename=filename)
-        got = (text, tuple(sorted(pp.lint_suppressions)))
-        _PP_CACHE[key] = got
-    return got
+        return text, tuple(sorted(pp.lint_suppressions))
+    return _memo(_key("pp", w, scale), preprocess)
+
+
+def _stored(kind: str, w: Workload, scale: Optional[int],
+            opts: Optional[tuple], make: Callable[[], Any]) -> Any:
+    """The pristine parse (``opts`` None) or cure: from the memo, else
+    from the disk store (a ``kind`` span with ``cached=True``), else
+    ``make()`` builds it and the store keeps it.  With the store off
+    no disk key is computed: the code fingerprint in it hashes every
+    source file."""
+    def load_or_make() -> Any:
+        disk = get_cache()
+        if not disk.enabled:
+            return make()
+        text, sup = _preprocessed(w, scale)
+        dkey = (parse_key(text, sup, w.name) if opts is None
+                else cure_key(text, sup, w.name, opts))
+        with TRACER.span(kind, name=w.name, cached=True):
+            got = disk.load(dkey)
+        if got is None:
+            got = make()
+            disk.store(dkey, got)
+        return got
+    return _memo(_key(kind, w, scale, opts), load_or_make)
 
 
 def pristine_parse(w: Workload,
@@ -171,25 +187,11 @@ def pristine_parse(w: Workload,
 
     The source is preprocessed once, for the content-addressed disk
     cache's key and, on a miss, for the parser.  A warm process skips
-    parsing and lowering and unpickles the stored tree (traced as a
-    ``parse`` span with ``cached=True``)."""
-    key = (w.name, scale if scale is not None else w.scale)
-    prog = _PARSE_CACHE.get(key)
-    if prog is None:
+    parsing and lowering and unpickles the stored tree."""
+    def parse() -> Program:
         text, sup = _preprocessed(w, scale)
-        disk = get_cache()
-        dkey = None
-        if disk.enabled:
-            dkey = parse_key(text, sup, w.name)
-            from repro.obs.tracer import TRACER
-            with TRACER.span("parse", name=w.name, cached=True):
-                prog = disk.load(dkey)
-        if prog is None:
-            prog = parse_preprocessed(text, w.name + ".c", w.name, sup)
-            if dkey is not None:
-                disk.store(dkey, prog)
-        _PARSE_CACHE[key] = prog
-    return prog
+        return parse_preprocessed(text, w.name + ".c", w.name, sup)
+    return _stored("parse", w, scale, None, parse)
 
 
 def pristine_cure(w: Workload,
@@ -197,97 +199,51 @@ def pristine_cure(w: Workload,
                   scale: Optional[int] = None) -> CuredProgram:
     """The shared pristine cure — read/interpret only, never mutate.
 
-    Backed by the content-addressed disk cache keyed on
-    ``hash(preprocessed source, canonical options, schema)``: a warm
-    process unpickles the cured tree (plus its static metrics) instead
-    of re-running constraints/solve/instrument (traced as a ``cure``
-    span with ``cached=True``)."""
-    key = (w.name, scale if scale is not None else w.scale,
-           _options_key(options))
-    cured = _CURE_CACHE.get(key)
-    if cured is None:
-        disk = get_cache()
-        dkey = None
-        if disk.enabled:
-            text, sup = _preprocessed(w, scale)
-            dkey = cure_key(
-                text, sup, w.name,
-                canonical_options(
-                    options, trust_bad_casts=w.trust_bad_casts))
-            from repro.obs.tracer import TRACER
-            with TRACER.span("cure", name=w.name, cached=True):
-                cured = disk.load(dkey)
-        if cured is None:
-            # Cure a copy of the cached parse: ``w.cure()`` would
-            # re-parse from scratch, and parsing dominates the cure
-            # pipeline.
-            opts = options if options is not None else CureOptions(
-                trust_bad_casts=w.trust_bad_casts)
-            cured = _cure(copy.deepcopy(pristine_parse(w, scale)),
-                          options=opts, name=w.name)
-            if dkey is not None:
-                disk.store(dkey, cured, static={
-                    "kind_pct": cured.kind_percentages(),
-                    "checks_emitted": {
-                        k.value: v for k, v in
-                        sorted(cured.check_counts.items(),
-                               key=lambda kv: kv[0].value)},
-                    "checks_removed": cured.checks_removed,
-                    "optimize": cured.optimize_level,
-                })
-        _CURE_CACHE[key] = cured
-    return cured
-
-
-def cached_parse(w: Workload,
-                 scale: Optional[int] = None) -> Program:
-    """A fresh (deep-copied) parse of ``w`` from the pristine cache."""
-    return copy.deepcopy(pristine_parse(w, scale))
-
-
-def cached_cure(w: Workload,
-                options: Optional[CureOptions] = None,
-                scale: Optional[int] = None) -> CuredProgram:
-    """A fresh (deep-copied) cure of ``w`` from the pristine cache."""
-    return copy.deepcopy(pristine_cure(w, options, scale))
+    ``None`` options mean the workload's defaults.  A warm process
+    unpickles the cured tree instead of re-running
+    constraints/solve/instrument."""
+    def cure() -> CuredProgram:
+        # Cure a copy of the memoized parse: ``w.cure()`` would
+        # re-parse from scratch, and parsing dominates the cure
+        # pipeline.
+        opts = options if options is not None else CureOptions(
+            trust_bad_casts=w.trust_bad_casts)
+        return _cure(copy.deepcopy(pristine_parse(w, scale)),
+                     options=opts, name=w.name)
+    return _stored("cure", w, scale, canonical_options(
+        options, trust_bad_casts=w.trust_bad_casts), cure)
 
 
 def clear_program_cache() -> None:
-    """Drop all in-process cached parses/cures (tests poking at tree
-    internals).  The on-disk cure cache is untouched: a disk hit hands
-    back a freshly unpickled tree, which is exactly the isolation this
-    reset exists to restore."""
-    _SOURCE_CACHE.clear()
-    _PARSE_CACHE.clear()
-    _CURE_CACHE.clear()
-    _PP_CACHE.clear()
-    _RESULT_CACHE.clear()
+    """Drop the in-process memo (tests poking at tree internals).  The
+    on-disk cure cache is untouched: a disk hit hands back a freshly
+    unpickled tree, which is exactly the isolation this reset exists
+    to restore."""
+    _MEMO.clear()
 
 
 def _result_key(w: Workload, scale: Optional[int], engine: str,
                 max_steps: int, tool: str,
                 options: Optional[CureOptions]) -> tuple:
-    """The memoization key of one measurement — every dimension that
-    can change the numbers, explicit in one place.  The engine name
-    and the check-elimination level are always present, so a
+    """The memo key of one measurement — every dimension that can
+    change the numbers, explicit in one place.  The engine name and
+    the check-elimination level are always present, so a
     closures-vs-tree or a none/local/flow sweep can never reuse a
-    stale cached result; the full options identity rides along for
-    the remaining cure flags."""
-    level = (options.optimize_level if options is not None
-             else CureOptions().optimize_level)
-    return (w.name, scale if scale is not None else w.scale,
-            engine, max_steps, tool, level, _options_key(options))
+    stale result; the canonical options carry the remaining cure
+    flags."""
+    opts = canonical_options(options, trust_bad_casts=w.trust_bad_casts)
+    return _key("result", w, scale, opts) + (
+        engine, max_steps, tool, dict(opts)["optimize"])
 
 
-def _measure(key: tuple, tool: str, runner) -> ToolRun:
-    """A memoized measurement; ``runner`` executes on a cache miss."""
-    got = _RESULT_CACHE.get(key)
-    if got is None:
-        res: ExecResult = runner()
-        got = (res.cycles, res.status, res.steps, res.stdout,
-               res.checks_executed)
-        _RESULT_CACHE[key] = got
-    return ToolRun(tool, *got)
+def _measure(key: tuple, tool: str,
+             runner: Callable[[], ExecResult]) -> ToolRun:
+    """A memoized measurement; ``runner`` executes on a memo miss."""
+    def run() -> tuple[int, int, int, str, int]:
+        res = runner()
+        return (res.cycles, res.status, res.steps, res.stdout,
+                res.checks_executed)
+    return ToolRun(tool, *_memo(key, run))
 
 
 def run_workload(w: Workload, *,
@@ -296,7 +252,13 @@ def run_workload(w: Workload, *,
                  scale: Optional[int] = None,
                  max_steps: int = 50_000_000,
                  engine: str = "closures") -> BenchRow:
-    """Run one workload under raw + the requested tools."""
+    """Run one workload under raw + the requested tools (a subset of
+    :data:`TOOLS`; an unknown one raises before anything runs)."""
+    for tool in tools:
+        if tool not in TOOLS:
+            raise UnknownSelection(
+                f"unknown tool {tool!r} (choose from "
+                f"{', '.join(TOOLS)})")
     src = cached_source(w)
     args = list(w.args) or None
     raw = _measure(
@@ -367,86 +329,3 @@ def _assert_same_behaviour(name: str, raw: ToolRun,
             lines.append(f"    ... {len(diff) - len(shown)} more "
                          "diff lines")
     raise AssertionError("\n".join(lines))
-
-
-# -- failure-contained suite runs -------------------------------------------
-
-
-@dataclass
-class FailureRow:
-    """A workload that failed somewhere in the bench pipeline."""
-
-    name: str
-    phase: str        # parse | cure | run | compare
-    error: str        # exception class name
-    detail: str       # str(exception), first line
-    attempts: int = 1
-    failure: Optional[dict] = None  # CheckFailure record, if any
-
-
-@dataclass
-class SuiteResult:
-    """Outcome of a failure-contained benchmark sweep."""
-
-    rows: list[BenchRow] = field(default_factory=list)
-    failures: list[FailureRow] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def _is_transient(exc: BaseException) -> bool:
-    """Errors worth one retry: machine pressure, not program facts."""
-    if isinstance(exc, (MemoryError, OSError)):
-        return True
-    return (isinstance(exc, InterpreterLimitError)
-            and "wall-clock" in str(exc))
-
-
-def _failure_phase(exc: BaseException) -> str:
-    if isinstance(exc, PreprocessError):
-        return "parse"
-    if isinstance(exc, AssertionError):
-        return "compare"
-    return "run"
-
-
-def run_suite(workloads: Iterable[Workload], *,
-              tools: tuple[str, ...] = ("ccured",),
-              options: Optional[CureOptions] = None,
-              scale: Optional[int] = None,
-              max_steps: int = 50_000_000,
-              engine: str = "closures",
-              retries: int = 1) -> SuiteResult:
-    """Run a set of workloads, containing per-workload failures.
-
-    A crashing, hanging (step/deadline-limited) or diverging workload
-    becomes a :class:`FailureRow` instead of aborting the whole sweep;
-    transient-looking errors get one bounded retry.  Only
-    ``KeyboardInterrupt`` (and other non-``Exception`` exits) still
-    propagates."""
-    result = SuiteResult()
-    for w in workloads:
-        attempts = 0
-        while True:
-            attempts += 1
-            try:
-                result.rows.append(run_workload(
-                    w, tools=tools, options=options, scale=scale,
-                    max_steps=max_steps, engine=engine))
-                break
-            except Exception as exc:
-                if _is_transient(exc) and attempts <= retries:
-                    continue
-                detail = str(exc).splitlines()[0] if str(exc) else ""
-                failure = None
-                if isinstance(exc, MemorySafetyError):
-                    failure = CheckFailure.from_exception(
-                        exc).to_json()
-                result.failures.append(FailureRow(
-                    name=w.name, phase=_failure_phase(exc),
-                    error=type(exc).__name__, detail=detail,
-                    attempts=attempts, failure=failure))
-                break
-    return result

@@ -17,14 +17,13 @@ hit/miss counters behind ``repro cache stats``.
 """
 
 from repro.cache.keys import (CACHE_SCHEMA, canonical_options,
-                              code_fingerprint, cure_key, options_key,
-                              parse_key)
+                              code_fingerprint, cure_key, parse_key)
 from repro.cache.store import (CacheStats, CureCache, cache_enabled,
                                default_root, get_cache)
 
 __all__ = [
     "CACHE_SCHEMA", "canonical_options", "code_fingerprint",
-    "cure_key", "options_key", "parse_key",
+    "cure_key", "parse_key",
     "CacheStats", "CureCache", "cache_enabled", "default_root",
     "get_cache",
 ]

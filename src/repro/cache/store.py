@@ -19,10 +19,12 @@ a fresh cure; a corrupt cache can cost time but never correctness.
 Counters are cumulative across processes (guarded by ``flock`` where
 available), which is what makes ``repro cache stats`` deterministic:
 after ``repro cache clear``, a scripted sequence of operations always
-reports the same hit/miss counts.  Every load and store is also
-surfaced through the PR-4 tracer as a ``cache`` span carrying the
-operation and its outcome, so ``repro metrics --trace`` shows cache
-traffic on the timeline.
+reports the same hit/miss counts.  The bench harness's in-process
+memo sits in front of the store and a memo hit never reaches it, so
+a process looks a parse or cure up only on its first use (until the
+memo is cleared).  Every load and store is also surfaced through the
+tracer as a ``cache`` span carrying the operation and its outcome, so
+``repro metrics --trace`` shows cache traffic on the timeline.
 """
 
 from __future__ import annotations
@@ -147,31 +149,13 @@ class CureCache:
             self._bump(hits=1)
             return payload["value"]
 
-    def static_of(self, key: str) -> Optional[dict]:
-        """The static-metrics side record of an entry, if present
-        (stored beside the tree so quick inspection never has to
-        materialize the full cure)."""
-        if not self.enabled:
-            return None
-        try:
-            with open(self._path(key), "rb") as f:
-                payload = pickle.load(f)
-            if payload.get("version") != PAYLOAD_VERSION:
-                return None
-            return payload.get("static")
-        except Exception:
-            return None
-
-    def store(self, key: str, value: Any,
-              static: Optional[dict] = None) -> bool:
-        """Atomically persist ``value`` (plus an optional static
-        metrics record) under ``key``."""
+    def store(self, key: str, value: Any) -> bool:
+        """Atomically persist ``value`` under ``key``."""
         if not self.enabled:
             return False
         path = self._path(key)
         with TRACER.span("cache", op="store", key=key[:12]):
-            payload = {"version": PAYLOAD_VERSION, "value": value,
-                       "static": static}
+            payload = {"version": PAYLOAD_VERSION, "value": value}
             try:
                 blob = pickle.dumps(
                     payload, protocol=pickle.HIGHEST_PROTOCOL)

@@ -138,7 +138,7 @@ def profile_workload(w, *, engine: str = "closures",
                      ) -> list[SpanRecord]:
     """Capture the span stream of one workload's *fresh* pipeline.
 
-    Deliberately bypasses the harness's pristine-tree caches and the
+    Deliberately bypasses the harness's in-process memo and the
     on-disk cure cache: a cached collection would profile the cache,
     not the pipeline, and its span counts would depend on cache state.
     Here every phase runs for real — preprocess, parse, cure

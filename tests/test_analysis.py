@@ -314,3 +314,19 @@ def test_levels_behaviour_identical(w):
     assert sig("local", "closures") == ref
     assert sig("flow", "closures") == ref
     assert sig("flow", "tree") == ref
+
+
+@pytest.mark.parametrize("name", ["olden_em3d", "ptrdist_anagram"])
+def test_analyze_workload_leaves_shared_cure_unchanged(name):
+    # ``repro analyze`` reads the shared pristine cure: the local pass
+    # runs on a copy of each function, the flow pass only reads.
+    from repro.analysis import analyze_workload
+    from repro.workloads import get
+    w = get(name)
+    opts = CureOptions(optimize="none")
+    shared = pristine_cure(w, options=opts, scale=SCALE)
+    before = (shared.to_c(), shared.report())
+    stats = analyze_workload(w, scale=SCALE)
+    assert stats["totals"]["elided_local"] > 0
+    assert pristine_cure(w, options=opts, scale=SCALE) is shared
+    assert (shared.to_c(), shared.report()) == before

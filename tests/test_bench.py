@@ -91,17 +91,18 @@ class TestHarness:
     def test_options_key_distinguishes_optimize_levels(self):
         # A ``--optimize=none|local|flow`` sweep must never reuse a
         # program cured at another level…
-        from repro.bench.harness import _options_key
+        from repro.cache import canonical_options
         from repro.core import CureOptions
-        keys = {lvl: _options_key(CureOptions(optimize=lvl))
+        keys = {lvl: canonical_options(CureOptions(optimize=lvl))
                 for lvl in ("none", "local", "flow")}
         assert len(set(keys.values())) == 3
         # …while equivalent spellings share one cache entry.
-        assert _options_key(CureOptions()) == \
-            _options_key(CureOptions(optimize="flow"))
-        assert _options_key(CureOptions(optimize_checks=False)) == \
-            _options_key(CureOptions(optimize="none"))
-        assert _options_key(None) is None
+        assert canonical_options(CureOptions()) == \
+            canonical_options(CureOptions(optimize="flow"))
+        assert canonical_options(CureOptions(optimize_checks=False)) == \
+            canonical_options(CureOptions(optimize="none"))
+        assert canonical_options(None) == \
+            canonical_options(CureOptions())
 
     def test_result_key_includes_engine_and_level(self):
         # Memoized measurements must be keyed by engine AND optimize
@@ -131,6 +132,28 @@ class TestHarness:
         assert by_level["flow"].checks_removed > \
             by_level["local"].checks_removed > 0
         assert len({id(c) for c in by_level.values()}) == 3
+
+    def test_default_and_explicit_options_measure_once(
+            self, monkeypatch):
+        # ``options=None`` and the workload's explicit defaults are one
+        # configuration: one cure, one cured run.
+        from repro.bench import clear_program_cache, harness
+        from repro.core import CureOptions
+        runs = []
+        real = harness.run_cured
+
+        def counting(*args, **kwargs):
+            runs.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_cured", counting)
+        clear_program_cache()
+        w = get("olden_bisort")
+        a = run_workload(w, tools=("ccured",), scale=3)
+        b = run_workload(w, tools=("ccured",), scale=3,
+                         options=CureOptions())
+        assert len(runs) == 1
+        assert a.ccured == b.ccured
 
     def test_run_workload_shapes(self):
         row = run_workload(get("olden_bisort"),

@@ -15,7 +15,7 @@ import pytest
 from repro.bench.harness import clear_program_cache, pristine_cure, \
     pristine_parse
 from repro.cache import (CACHE_SCHEMA, canonical_options, cure_key,
-                         get_cache, options_key, parse_key)
+                         get_cache, parse_key)
 from repro.core import CureOptions
 from repro.workloads import get
 
@@ -74,8 +74,8 @@ def test_key_changes_with_schema():
 def test_options_key_canonicalizes_optimize_aliases():
     # optimize/optimize_checks fold into one canonical level entry:
     # the historical spelling and the level spelling share a key.
-    assert options_key(CureOptions(optimize_checks=False)) \
-        == options_key(CureOptions(optimize="none"))
+    assert canonical_options(CureOptions(optimize_checks=False)) \
+        == canonical_options(CureOptions(optimize="none"))
 
 
 # -- hits are byte-identical -------------------------------------------------
@@ -250,6 +250,33 @@ def test_disabled_cache_stores_nothing(tmp_path, monkeypatch):
                                            "objects"))
     s = disk.stats()
     assert (s.hits, s.misses, s.stores) == (0, 0, 0)
+    clear_program_cache()
+
+
+@pytest.mark.parametrize("name", ["bind_like", "olden_power"])
+def test_default_options_are_one_memo_entry(name, tmp_path,
+                                            monkeypatch):
+    # The memo keys a cure by the canonical options the disk key
+    # hashes: the workload's defaults, spelled as None or explicitly,
+    # are one cure even with the store off.
+    from repro.bench import harness
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "off"))
+    monkeypatch.setenv("REPRO_CACHE", "off")
+    cures = []
+    real = harness._cure
+
+    def counting(*args, **kwargs):
+        cures.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "_cure", counting)
+    clear_program_cache()
+    w = get(name)
+    implicit = pristine_cure(w)
+    explicit = pristine_cure(
+        w, CureOptions(trust_bad_casts=w.trust_bad_casts))
+    assert explicit is implicit
+    assert len(cures) == 1
     clear_program_cache()
 
 

@@ -1,11 +1,11 @@
 """Fault-injection engine tests: grafting, determinism, campaigns,
-and the harness's failure containment."""
+and the harness's cured-vs-raw behaviour check."""
 
 import copy
 
 import pytest
 
-from repro.bench.harness import (pristine_parse, run_suite)
+from repro.bench.harness import pristine_parse
 from repro.core import CureOptions, cure
 from repro.faults import (MUTATORS, make_variant, graft,
                           report_to_json)
@@ -13,7 +13,7 @@ from repro.faults.campaign import run_variant
 from repro.interp import run_cured, run_raw
 from repro.runtime.checks import BoundsError, InterpreterLimitError
 from repro.sweep import sharded_campaign
-from repro.workloads import Workload, get
+from repro.workloads import get
 
 SEED = 1337
 
@@ -176,37 +176,7 @@ def test_deadline_unset_keeps_step_message():
     assert str(ei.value) == "step budget exceeded"
 
 
-# -- failure-contained suite runs (satellite 4 neighbourhood) ----------------
-
-def _broken_workload(name, source):
-    return Workload(name=name, category="test", description="",
-                    paper_row="", filename=None,
-                    generator=lambda: source)
-
-
-def test_run_suite_contains_crash_and_hang():
-    crash = _broken_workload(
-        "crash", "int main(void) { int *p = (int *)0; return *p; }")
-    hang = _broken_workload(
-        "hang", "int main(void) { volatile int x = 0;\n"
-                "    while (1) { x = x + 1; } return 0; }")
-    good = get("olden_power")
-    result = run_suite([crash, good, hang], scale=2,
-                       max_steps=20_000)
-    assert [r.name for r in result.rows] == ["olden_power"]
-    assert sorted(f.name for f in result.failures) == ["crash",
-                                                       "hang"]
-    assert not result.ok
-    by_name = {f.name: f for f in result.failures}
-    assert by_name["crash"].error == "SegmentationFault"
-    assert by_name["hang"].error == "InterpreterLimitError"
-    assert by_name["crash"].phase == "run"
-
-
-def test_run_suite_all_good_is_ok():
-    result = run_suite([get("olden_power")], scale=2)
-    assert result.ok and len(result.rows) == 1
-
+# -- the harness's behaviour check ------------------------------------------
 
 def test_assert_same_behaviour_diff_message():
     from repro.bench.harness import ToolRun, _assert_same_behaviour

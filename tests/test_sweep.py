@@ -216,6 +216,10 @@ BAD_SELECTIONS = [
     (["profile", "--workload", "nope"], "unknown workload 'nope'"),
     (["sweep", "--targets", "lint,nope"],
      "unknown sweep target 'nope'"),
+    (["bench", "olden_bisort", "--scale", "2", "--tools",
+      "ccured,purfy"], "unknown tool 'purfy'"),
+    (["bench", "olden_bisort", "--tools", "valgrnd"],
+     "unknown tool 'valgrnd'"),
 ]
 
 
