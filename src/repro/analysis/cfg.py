@@ -232,8 +232,7 @@ class _Builder:
         self.cfg.add_edge(cur, header)
         after = self.cfg.new_block()
         stmts = s.body.stmts
-        n = getattr(s, "continue_runs_trailing", 0) or 0
-        n = min(n, len(stmts))
+        n = min(s.continue_runs_trailing, len(stmts))
         tail_entry: Optional[BasicBlock] = None
         if n:
             # ``continue`` executes the trailing n statements (the

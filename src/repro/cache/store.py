@@ -36,6 +36,7 @@ import tempfile
 from dataclasses import dataclass
 from typing import Any, Optional
 
+from repro.cil.program import collector_paused
 from repro.obs.tracer import TRACER
 
 #: version stamp inside every pickled payload; a mismatch means the
@@ -119,13 +120,14 @@ class CureCache:
 
     def load(self, key: str) -> Optional[Any]:
         """The stored object for ``key``, or None on a miss.  Corrupt
-        entries are deleted and reported as misses."""
+        entries are deleted and reported as misses.  The collector is
+        paused while the entry unpickles, as in ``deepcopy_tree``."""
         if not self.enabled:
             return None
         path = self._path(key)
         with TRACER.span("cache", op="load", key=key[:12]) as span:
             try:
-                with open(path, "rb") as f:
+                with open(path, "rb") as f, collector_paused():
                     payload = pickle.load(f)
                 if (not isinstance(payload, dict)
                         or payload.get("version") != PAYLOAD_VERSION

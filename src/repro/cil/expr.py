@@ -20,6 +20,9 @@ from repro.cil.types import (CType, FieldInfo, TArray, TInt, TPtr, IKind,
 class Varinfo:
     """A variable: global, formal parameter, local, or compiler temp."""
 
+    __slots__ = ("name", "type", "is_global", "is_formal", "is_temp",
+                 "storage", "address_taken", "decl_loc", "vid")
+
     _next_id = 0
 
     def __init__(self, name: str, vtype: CType, *, is_global: bool = False,
@@ -38,12 +41,14 @@ class Varinfo:
         self.vid = Varinfo._next_id
         Varinfo._next_id = Varinfo._next_id + 1
 
-    def __setstate__(self, state: dict) -> None:
+    def __setstate__(self, state: tuple) -> None:
         # An unpickled variable keeps the id its creating process gave
         # it (a cure-cache load).  Reserve that id, so variables made
         # here afterwards (a grafted fault fragment) never share it:
-        # the engines key register variables and homes by id.
-        self.__dict__.update(state)
+        # the engines key register variables and homes by id.  Slot
+        # state is (None, {slot: value}).
+        for name, value in state[1].items():
+            setattr(self, name, value)
         if self.vid >= Varinfo._next_id:
             Varinfo._next_id = self.vid + 1
 
@@ -58,6 +63,8 @@ class Varinfo:
 class Offset:
     """Base class for lvalue offsets."""
 
+    __slots__ = ()
+
     def __repr__(self) -> str:
         return ""
 
@@ -65,12 +72,16 @@ class Offset:
 class NoOffset(Offset):
     """The empty offset."""
 
+    __slots__ = ()
+
 
 NO_OFFSET = NoOffset()
 
 
 class Field(Offset):
     """A ``.field`` offset followed by a further offset."""
+
+    __slots__ = ("field", "rest")
 
     def __init__(self, field: FieldInfo, rest: Offset = NO_OFFSET) -> None:
         self.field = field
@@ -88,6 +99,8 @@ class Index(Offset):
     of pointer values into explicit arithmetic.
     """
 
+    __slots__ = ("index", "rest")
+
     def __init__(self, index: "Exp", rest: Offset = NO_OFFSET) -> None:
         self.index = index
         self.rest = rest
@@ -99,9 +112,13 @@ class Index(Offset):
 class Lhost:
     """Base class of lvalue hosts."""
 
+    __slots__ = ()
+
 
 class Var(Lhost):
     """A named variable host."""
+
+    __slots__ = ("var",)
 
     def __init__(self, var: Varinfo) -> None:
         self.var = var
@@ -113,6 +130,8 @@ class Var(Lhost):
 class Mem(Lhost):
     """A memory dereference host: ``*e``."""
 
+    __slots__ = ("exp",)
+
     def __init__(self, exp: "Exp") -> None:
         self.exp = exp
 
@@ -122,6 +141,8 @@ class Mem(Lhost):
 
 class Lval:
     """An lvalue: a host plus an offset chain."""
+
+    __slots__ = ("host", "offset", "_type")
 
     def __init__(self, host: Lhost, offset: Offset = NO_OFFSET) -> None:
         self.host = host
@@ -218,12 +239,16 @@ POINTER_ARITH = {BinopKind.PLUS_PI, BinopKind.MINUS_PI}
 class Exp:
     """Base class of side-effect-free expressions."""
 
+    __slots__ = ()
+
     def type(self) -> CType:
         raise NotImplementedError
 
 
 class Const(Exp):
     """An integer, floating or character constant."""
+
+    __slots__ = ("value", "_type")
 
     def __init__(self, value, ctype: Optional[CType] = None) -> None:
         self.value = value
@@ -239,6 +264,8 @@ class Const(Exp):
 class StrConst(Exp):
     """A string literal; has type ``char[len+1]`` decayed by StartOf."""
 
+    __slots__ = ("value", "_type")
+
     def __init__(self, value: str, ctype: CType) -> None:
         self.value = value
         self._type = ctype  # a TPtr(char) produced by the frontend
@@ -253,6 +280,8 @@ class StrConst(Exp):
 class LvalExp(Exp):
     """Reading an lvalue."""
 
+    __slots__ = ("lval",)
+
     def __init__(self, lval: Lval) -> None:
         self.lval = lval
 
@@ -266,6 +295,8 @@ class LvalExp(Exp):
 class SizeOfT(Exp):
     """``sizeof(type)``; evaluated by the interpreter via the machine."""
 
+    __slots__ = ("t",)
+
     def __init__(self, t: CType) -> None:
         self.t = t
 
@@ -277,6 +308,8 @@ class SizeOfT(Exp):
 
 
 class UnOp(Exp):
+    __slots__ = ("op", "e", "_type")
+
     def __init__(self, op: UnopKind, e: Exp, ctype: CType) -> None:
         self.op = op
         self.e = e
@@ -290,6 +323,11 @@ class UnOp(Exp):
 
 
 class BinOp(Exp):
+    #: ``_esz_cache``: the element size of pointer arithmetic, set
+    #: lazily by the tree engine
+    __slots__ = ("op", "e1", "e2", "_type", "_esz_cache")
+    _esz_cache: int
+
     def __init__(self, op: BinopKind, e1: Exp, e2: Exp,
                  ctype: CType) -> None:
         self.op = op
@@ -312,6 +350,8 @@ class CastE(Exp):
     downcast, or bad — Section 3).
     """
 
+    __slots__ = ("t", "e", "trusted")
+
     def __init__(self, t: CType, e: Exp) -> None:
         self.t = t
         self.e = e
@@ -331,6 +371,8 @@ class AddrOf(Exp):
     The constructed pointer type is cached so that the qualifier node
     attached to this syntactic occurrence persists.
     """
+
+    __slots__ = ("lval", "_type")
 
     def __init__(self, lval: Lval) -> None:
         self.lval = lval
@@ -354,6 +396,8 @@ class StartOf(Exp):
     The constructed pointer type is cached so the qualifier node
     attached to this occurrence persists.
     """
+
+    __slots__ = ("lval", "_type")
 
     def __init__(self, lval: Lval) -> None:
         self.lval = lval

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import gc
 import pickle
+from contextlib import contextmanager
 from typing import Iterator, Optional, Sequence, TypeVar
 
 from repro.cil.expr import Varinfo
@@ -14,6 +15,21 @@ from repro.cil.types import CompInfo, CType, EnumInfo
 _Tree = TypeVar("_Tree")
 
 
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause the cyclic collector while unpickling a tree, and restore
+    the caller's setting afterwards, also on error.  Every object such
+    a load builds is live, so a collection during it is wasted work:
+    it walks the half-built tree and frees nothing."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def deepcopy_tree(tree: _Tree, memo: dict) -> _Tree:
     """``copy.deepcopy`` of a whole tree (a :class:`Program` or a
     :class:`~repro.core.curer.CuredProgram`).
@@ -21,10 +37,10 @@ def deepcopy_tree(tree: _Tree, memo: dict) -> _Tree:
     A top-level copy round-trips the tree through the C pickler instead
     of ``copy``'s per-object Python recursion.  Trees already round-trip
     through pickle in the cure cache, so this adds no serialization
-    contract.  The cyclic collector is paused meanwhile: every object
-    the load builds is live, so a collection during it is wasted work.
-    A copy nested in a larger deepcopy (non-empty ``memo``) takes the
-    generic walk, so it keeps sharing objects with the enclosing copy.
+    contract.  The cyclic collector is paused meanwhile
+    (:func:`collector_paused`).  A copy nested in a larger deepcopy
+    (non-empty ``memo``) takes the generic walk, so it keeps sharing
+    objects with the enclosing copy.
     """
     if memo:
         cls = type(tree)
@@ -32,21 +48,20 @@ def deepcopy_tree(tree: _Tree, memo: dict) -> _Tree:
         memo[id(tree)] = clone
         clone.__dict__.update(copy.deepcopy(tree.__dict__, memo))
         return clone
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with collector_paused():
         return pickle.loads(pickle.dumps(tree, pickle.HIGHEST_PROTOCOL))
-    finally:
-        if enabled:
-            gc.enable()
 
 
 class Global:
     """Base class of top-level program elements."""
 
+    __slots__ = ()
+
 
 class GVar(Global):
     """A global variable definition with an optional initializer."""
+
+    __slots__ = ("var", "init")
 
     def __init__(self, var: Varinfo, init: Optional[Init] = None) -> None:
         self.var = var
@@ -59,6 +74,8 @@ class GVar(Global):
 class GVarDecl(Global):
     """A declaration (prototype / extern) without a definition."""
 
+    __slots__ = ("var",)
+
     def __init__(self, var: Varinfo) -> None:
         self.var = var
 
@@ -68,6 +85,8 @@ class GVarDecl(Global):
 
 class GFun(Global):
     """A function definition."""
+
+    __slots__ = ("fundec",)
 
     def __init__(self, fundec: Fundec) -> None:
         self.fundec = fundec
@@ -79,17 +98,23 @@ class GFun(Global):
 class GCompTag(Global):
     """A struct/union definition."""
 
+    __slots__ = ("comp",)
+
     def __init__(self, comp: CompInfo) -> None:
         self.comp = comp
 
 
 class GEnumTag(Global):
+    __slots__ = ("enuminfo",)
+
     def __init__(self, enuminfo: EnumInfo) -> None:
         self.enuminfo = enuminfo
 
 
 class GType(Global):
     """A typedef."""
+
+    __slots__ = ("name", "type")
 
     def __init__(self, name: str, ctype: CType) -> None:
         self.name = name
@@ -98,6 +123,8 @@ class GType(Global):
 
 class GPragma(Global):
     """A ``#pragma`` retained from the source (e.g. ``ccuredWrapperOf``)."""
+
+    __slots__ = ("name", "args")
 
     def __init__(self, name: str, args: Sequence[str]) -> None:
         self.name = name

@@ -76,18 +76,23 @@ class Instr:
     ``loc`` is the ``(file, line)`` source position of the statement
     the instruction was lowered from (``None`` for synthesized code);
     checks inherit the location of the instruction they protect so
-    diagnostics can be reported gcc-style.
+    diagnostics can be reported gcc-style.  Every subclass sets it in
+    its ``__init__``.
     """
 
-    loc: Optional[tuple[str, int]] = None
+    __slots__ = ("loc",)
+    loc: Optional[tuple[str, int]]
 
 
 class Set(Instr):
     """``lval = exp;``"""
 
+    __slots__ = ("lval", "exp")
+
     def __init__(self, lval: Lval, exp: Exp) -> None:
         self.lval = lval
         self.exp = exp
+        self.loc = None
 
     def __repr__(self) -> str:
         return f"{self.lval!r} = {self.exp!r};"
@@ -96,11 +101,14 @@ class Set(Instr):
 class Call(Instr):
     """``ret = fn(args);`` — ``ret`` may be ``None``."""
 
+    __slots__ = ("ret", "fn", "args")
+
     def __init__(self, ret: Optional[Lval], fn: Exp,
                  args: Sequence[Exp]) -> None:
         self.ret = ret
         self.fn = fn
         self.args = list(args)
+        self.loc = None
 
     def __repr__(self) -> str:
         r = f"{self.ret!r} = " if self.ret is not None else ""
@@ -112,8 +120,15 @@ class Check(Instr):
     """A CCured run-time check over the given argument expressions.
 
     ``size`` carries the access size in bytes for bounds checks; ``rtti``
-    carries the destination type for RTTI downcast checks.
+    carries the destination type for RTTI downcast checks.  The
+    engines cache the failure record's blame chain and pointer kind
+    in the last two slots on first use.
     """
+
+    __slots__ = ("kind", "args", "size", "rtti", "site", "_blame_cache",
+                 "_pkind_cache")
+    _blame_cache: Optional[list]
+    _pkind_cache: Optional[str]
 
     def __init__(self, kind: CheckKind, args: Sequence[Exp], *,
                  size: Optional[int] = None,
@@ -125,6 +140,7 @@ class Check(Instr):
         #: statement id assigned by the curer after check optimization;
         #: reported in CheckFailure records so a failure names its site
         self.site: Optional[int] = None
+        self.loc = None
 
     def __repr__(self) -> str:
         a = ", ".join(repr(x) for x in self.args)
@@ -141,35 +157,49 @@ class Check(Instr):
 # ---------------------------------------------------------------------------
 
 class Stmt:
-    """Base class of statements."""
+    """Base class of statements; ``loc`` as on :class:`Instr`."""
 
-    loc: Optional[tuple[str, int]] = None
+    __slots__ = ("loc",)
+    loc: Optional[tuple[str, int]]
+
+    def __init__(self) -> None:
+        self.loc = None
 
 
 class InstrStmt(Stmt):
     """A run of consecutive instructions."""
 
+    __slots__ = ("instrs",)
+
     def __init__(self, instrs: Sequence[Instr]) -> None:
         self.instrs = list(instrs)
+        self.loc = None
 
     def __repr__(self) -> str:
         return " ".join(repr(i) for i in self.instrs)
 
 
 class Return(Stmt):
+    __slots__ = ("exp",)
+
     def __init__(self, exp: Optional[Exp]) -> None:
         self.exp = exp
+        self.loc = None
 
     def __repr__(self) -> str:
         return f"return {self.exp!r};" if self.exp else "return;"
 
 
 class Break(Stmt):
+    __slots__ = ()
+
     def __repr__(self) -> str:
         return "break;"
 
 
 class Continue(Stmt):
+    __slots__ = ()
+
     def __repr__(self) -> str:
         return "continue;"
 
@@ -177,8 +207,11 @@ class Continue(Stmt):
 class Block(Stmt):
     """A sequence of statements."""
 
+    __slots__ = ("stmts",)
+
     def __init__(self, stmts: Optional[Sequence[Stmt]] = None) -> None:
         self.stmts: list[Stmt] = list(stmts) if stmts else []
+        self.loc = None
 
     def append(self, s: Stmt) -> None:
         self.stmts.append(s)
@@ -188,10 +221,13 @@ class Block(Stmt):
 
 
 class If(Stmt):
+    __slots__ = ("cond", "then", "els")
+
     def __init__(self, cond: Exp, then: Block, els: Block) -> None:
         self.cond = cond
         self.then = then
         self.els = els
+        self.loc = None
 
     def __repr__(self) -> str:
         return f"if ({self.cond!r}) {self.then!r} else {self.els!r}"
@@ -199,10 +235,18 @@ class If(Stmt):
 
 class Loop(Stmt):
     """An infinite loop; the frontend lowers while/for/do into ``Loop``
-    with explicit ``If``/``Break`` tests, as CIL does."""
+    with explicit ``If``/``Break`` tests, as CIL does.
+
+    ``continue_runs_trailing`` counts the body's last statements that a
+    ``continue`` still runs (a ``for`` post-expression, a ``do`` test).
+    """
+
+    __slots__ = ("body", "continue_runs_trailing")
 
     def __init__(self, body: Block) -> None:
         self.body = body
+        self.continue_runs_trailing = 0
+        self.loc = None
 
     def __repr__(self) -> str:
         return f"while (1) {self.body!r}"
@@ -215,8 +259,12 @@ class Loop(Stmt):
 class Init:
     """Base class of global/local initializers."""
 
+    __slots__ = ()
+
 
 class SingleInit(Init):
+    __slots__ = ("exp",)
+
     def __init__(self, exp: Exp) -> None:
         self.exp = exp
 
@@ -228,6 +276,8 @@ class CompoundInit(Init):
     """A brace initializer; ``entries`` pairs an offset description with a
     sub-initializer.  For arrays the offset is an integer index; for
     composites it is a field name."""
+
+    __slots__ = ("ctype", "entries")
 
     def __init__(self, ctype: CType,
                  entries: Sequence[tuple[object, Init]]) -> None:
@@ -244,7 +294,14 @@ class CompoundInit(Init):
 # ---------------------------------------------------------------------------
 
 class Fundec:
-    """A function definition: its variable, formals, locals and body."""
+    """A function definition: its variable, formals, locals and body.
+
+    Weakly referenceable: the closure engine caches compiled bodies in
+    a ``WeakKeyDictionary`` keyed by the ``Fundec``.
+    """
+
+    __slots__ = ("svar", "formals", "locals", "body", "_temp_counter",
+                 "__weakref__")
 
     def __init__(self, svar: Varinfo, formals: Sequence[Varinfo],
                  body: Optional[Block] = None) -> None:

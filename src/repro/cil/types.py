@@ -66,6 +66,8 @@ class Machine:
     ``repro/runtime/memory.py`` for the rationale.
     """
 
+    __slots__ = ("word", "ptr_size", "int_sizes", "float_sizes")
+
     def __init__(self) -> None:
         self.word = 4
         self.ptr_size = 4
@@ -97,7 +99,16 @@ MACHINE = Machine()
 
 
 class CType:
-    """Base class of all C types."""
+    """Base class of all C types.
+
+    Every IR class declares ``__slots__`` (DESIGN.md, ``cil/``).  The
+    engines set the two cache slots lazily (this type's ``sizeof`` and
+    integer wrap) and read them with a ``getattr`` default.
+    """
+
+    __slots__ = ("_csize_cache", "_wrap_cache")
+    _csize_cache: int
+    _wrap_cache: tuple[str, int, bool]
 
     def size(self, machine: Machine = MACHINE) -> int:
         """Size of this type in bytes under the plain C layout."""
@@ -131,6 +142,8 @@ class TVoid(CType):
     subtype of ``void``, and a cast to ``void*`` is always an upcast.
     """
 
+    __slots__ = ()
+
     def size(self, machine: Machine = MACHINE) -> int:
         raise IncompleteTypeError("sizeof(void) is not defined")
 
@@ -146,6 +159,8 @@ class TVoid(CType):
 
 class TInt(CType):
     """Integer types, including ``char`` and ``_Bool``."""
+
+    __slots__ = ("kind",)
 
     def __init__(self, kind: IKind = IKind.INT) -> None:
         self.kind = kind
@@ -165,6 +180,8 @@ class TInt(CType):
 
 class TFloat(CType):
     """Floating-point types."""
+
+    __slots__ = ("kind",)
 
     def __init__(self, kind: FKind = FKind.DOUBLE) -> None:
         self.kind = kind
@@ -190,6 +207,8 @@ class TPtr(CType):
     pointer kind (defaulting to SAFE for un-analyzed types, which is the
     kind CCured infers for unconstrained pointers).
     """
+
+    __slots__ = ("base", "node")
 
     def __init__(self, base: CType, node: Optional[object] = None) -> None:
         self.base = base
@@ -219,6 +238,8 @@ class TPtr(CType):
 class TArray(CType):
     """An array type; ``length`` is ``None`` for incomplete arrays."""
 
+    __slots__ = ("base", "length")
+
     def __init__(self, base: CType, length: Optional[int]) -> None:
         self.base = base
         self.length = length
@@ -245,6 +266,8 @@ class TFun(CType):
     ``params`` is a sequence of ``(name, type)`` pairs; ``varargs`` marks
     ``...`` functions.  Function types have no size.
     """
+
+    __slots__ = ("ret", "params", "varargs")
 
     def __init__(self, ret: CType,
                  params: Optional[Sequence[tuple[str, CType]]],
@@ -279,6 +302,8 @@ class TFun(CType):
 class FieldInfo:
     """A field of a composite type."""
 
+    __slots__ = ("name", "type", "comp")
+
     def __init__(self, name: str, ftype: CType) -> None:
         self.name = name
         self.type = ftype
@@ -296,6 +321,10 @@ class CompInfo:
     types, so ``CompInfo`` instances are compared by a unique key.
     """
 
+    __slots__ = ("is_struct", "name", "fields", "defined", "key",
+                 "_layout_cache")
+    _layout_cache: tuple[Machine, CompLayout]
+
     _next_key = 0
 
     def __init__(self, is_struct: bool, name: str,
@@ -309,11 +338,12 @@ class CompInfo:
         if fields is not None:
             self.set_fields(fields)
 
-    def __setstate__(self, state: dict) -> None:
+    def __setstate__(self, state: tuple) -> None:
         # Like Varinfo ids: an unpickled composite reserves its key, so
         # a struct declared here afterwards never takes the same
-        # identity (``TComp.sig``).
-        self.__dict__.update(state)
+        # identity (``TComp.sig``).  Slot state is (None, {slot: value}).
+        for name, value in state[1].items():
+            setattr(self, name, value)
         if self.key >= CompInfo._next_key:
             CompInfo._next_key = self.key + 1
 
@@ -337,6 +367,8 @@ class CompInfo:
 class TComp(CType):
     """A reference to a composite type."""
 
+    __slots__ = ("comp",)
+
     def __init__(self, comp: CompInfo) -> None:
         self.comp = comp
 
@@ -356,6 +388,8 @@ class TComp(CType):
 class EnumInfo:
     """An enumeration declaration; items are ``(name, value)`` pairs."""
 
+    __slots__ = ("name", "items", "key")
+
     _next_key = 0
 
     def __init__(self, name: str,
@@ -371,6 +405,8 @@ class EnumInfo:
 
 class TEnum(CType):
     """A reference to an enumeration type; layout-identical to ``int``."""
+
+    __slots__ = ("enuminfo",)
 
     def __init__(self, enuminfo: EnumInfo) -> None:
         self.enuminfo = enuminfo
@@ -392,6 +428,8 @@ class TEnum(CType):
 
 class TNamed(CType):
     """A typedef; transparent for layout and signatures."""
+
+    __slots__ = ("name", "actual")
 
     def __init__(self, name: str, actual: CType) -> None:
         self.name = name
@@ -447,6 +485,8 @@ def is_scalar(t: CType) -> bool:
 
 class CompLayout:
     """Byte layout of a composite: field offsets, total size, alignment."""
+
+    __slots__ = ("size", "align", "offsets")
 
     def __init__(self, size: int, align: int,
                  offsets: dict[str, int]) -> None:

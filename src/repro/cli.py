@@ -400,8 +400,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
             print("lint: give a FILE, --workload NAME[,NAME...] or "
                   "--all-workloads", file=sys.stderr)
             return 2
-        # parse_program appends ".c" to the unit name, so strip a
-        # trailing ".c" to keep reported file names exact
+        # a report names its program without the ".c", as a
+        # workload's does
         unit = (args.file[:-2] if args.file.endswith(".c")
                 else args.file)
         reports.append(lint_source(

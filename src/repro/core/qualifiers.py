@@ -57,6 +57,11 @@ class Node:
       the dataflow* to the listed nodes (paper Section 3.2).
     """
 
+    __slots__ = ("id", "ptr_type", "where", "arith", "neg_arith", "wild",
+                 "rtti_needed", "interface", "split", "has_meta", "compat",
+                 "same", "rtti_back", "seq_back", "flow_out", "from_int",
+                 "seq_casts", "kind", "solved", "prov")
+
     _next_id = 0
 
     @classmethod

@@ -136,9 +136,7 @@ class Instrumenter:
             return out
         if isinstance(s, S.Loop):
             loop = S.Loop(self._block(s.body))
-            if hasattr(s, "continue_runs_trailing"):
-                loop.continue_runs_trailing = \
-                    s.continue_runs_trailing  # type: ignore[attr-defined]
+            loop.continue_runs_trailing = s.continue_runs_trailing
             return [loop]
         return [s]
 

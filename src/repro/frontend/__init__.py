@@ -20,8 +20,11 @@ __all__ = ["parse_program", "parse_files", "parse_preprocessed",
 def parse_program(source: str, name: str = "program",
                   include_dirs: Optional[Sequence[str]] = None,
                   defines: Optional[Mapping[str, str]] = None) -> Program:
-    """Parse one C source text into a lowered whole program."""
-    return parse_files([(name + ".c", source)], name=name,
+    """Parse one C source text into a lowered whole program.  The unit
+    is named ``name``, with ``.c`` appended unless it already ends so,
+    which is the file name that locations report."""
+    filename = name if name.endswith(".c") else name + ".c"
+    return parse_files([(filename, source)], name=name,
                        include_dirs=include_dirs, defines=defines)
 
 

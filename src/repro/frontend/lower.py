@@ -659,7 +659,7 @@ class Lowerer:
             n_trailing += 1
         if not test_first and cond_node is not None:
             n_trailing += 1
-        loop.continue_runs_trailing = n_trailing  # type: ignore[attr-defined]
+        loop.continue_runs_trailing = n_trailing
         self.builder.add(loop)
 
     def _switch(self, node: c_ast.Switch) -> None:

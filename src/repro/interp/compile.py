@@ -280,10 +280,7 @@ def _static_sizeof(t: T.CType) -> int:
         size = T.unroll(t).size()
     except T.IncompleteTypeError:
         size = 4
-    try:
-        t._csize_cache = size  # type: ignore[attr-defined]
-    except AttributeError:
-        pass
+    t._csize_cache = size
     return size
 
 
@@ -417,7 +414,7 @@ class _Compiler:
 
     def _compile_loop(self, s: S.Loop) -> Callable:
         stmts = tuple(self.stmt(x) for x in s.body.stmts)
-        trailing = getattr(s, "continue_runs_trailing", 0)
+        trailing = s.continue_runs_trailing
         tail = stmts[len(stmts) - trailing:] if trailing else ()
 
         def run(ip, f):

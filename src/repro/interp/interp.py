@@ -280,10 +280,7 @@ class Interpreter:
             size = T.unroll(t).size()
         except T.IncompleteTypeError:
             size = 4
-        try:
-            t._csize_cache = size  # type: ignore[attr-defined]
-        except AttributeError:
-            pass
+        t._csize_cache = size
         return size
 
     def _over_limit(self) -> None:
@@ -775,7 +772,7 @@ class Interpreter:
 
     def _exec_loop(self, loop: S.Loop, frame: Frame) -> None:
         stmts = loop.body.stmts
-        trailing = getattr(loop, "continue_runs_trailing", 0)
+        trailing = loop.continue_runs_trailing
         tail = stmts[len(stmts) - trailing:] if trailing else []
         while True:
             try:
@@ -870,7 +867,7 @@ class Interpreter:
                         blame = [s.to_json() for s in ch.steps]
         except Exception:
             blame = None
-        c._blame_cache = blame  # type: ignore[attr-defined]
+        c._blame_cache = blame
         return blame
 
     def _exec_check_kind(self, c: S.Check, frame: Frame) -> None:
@@ -1446,7 +1443,7 @@ class Interpreter:
                 bt = T.unroll(e.e1.type())
                 esz = self._sizeof(bt.base) if isinstance(
                     bt, T.TPtr) else 1
-                e._esz_cache = esz  # type: ignore[attr-defined]
+                e._esz_cache = esz
             delta = n * esz if op is E.BinopKind.PLUS_PI else -n * esz
             return p.with_addr(p.addr + delta)
         if op is E.BinopKind.MINUS_PP:
@@ -1606,10 +1603,7 @@ class Interpreter:
                 info = ("int", bits, u.kind.is_signed)
             else:
                 info = ("int", 32, False)
-            try:
-                t._wrap_cache = info  # type: ignore[attr-defined]
-            except AttributeError:
-                pass
+            t._wrap_cache = info
         kind, bits, signed = info
         if kind == "float":
             return value  # type: ignore[return-value]
@@ -1635,7 +1629,7 @@ def _check_pointer_kind(c: S.Check) -> Optional[str]:
                 kind = u.node.kind.name
         except Exception:
             kind = None
-    c._pkind_cache = kind  # type: ignore[attr-defined]
+    c._pkind_cache = kind
     return kind
 
 

@@ -73,8 +73,10 @@ _STORE_U32 = _STORE[4]
 
 def _clear_meta(h: Home, off: int, n: int) -> None:
     """Drop the shadow metadata of every pointer word a write of ``n``
-    bytes at offset ``off`` overlaps."""
-    lo = (off // _WORD) * _WORD
+    bytes at offset ``off`` overlaps.  The word stored at ``m`` spans
+    ``[m, m + 4)``, so it overlaps iff ``off - 3 <= m < off + n``; a
+    pointer may sit at any offset, not only an aligned one."""
+    lo = off - _WORD + 1
     hi = off + n
     for moff in [m for m in h.meta if lo <= m < hi]:
         del h.meta[moff]

@@ -140,6 +140,20 @@ class TestShadowMetadata:
         _, got = m.read_ptr(h.base)
         assert got is None
 
+    @pytest.mark.parametrize("size", (1, 2, 4))
+    def test_write_drops_an_unaligned_pointer_tag_iff_it_overlaps(
+            self, size):
+        """A pointer stored at offset 6 spans bytes 6-9.  An integer
+        write of ``size`` bytes at ``off`` keeps its tag iff the two
+        byte ranges are disjoint (Figure 10's tag invariant)."""
+        for off in range(16 - size + 1):
+            m = Memory()
+            h = m.alloc(16, "heap")
+            m.write_ptr(h.base + 6, 0x1000, PtrMeta(b=1, e=2))
+            m.write_int(h.base + off, 7, size)
+            disjoint = off + size <= 6 or off >= 10
+            assert m.has_ptr_tag(h.base + 6) is disjoint, off
+
     def test_tag_query(self):
         m = Memory()
         h = m.alloc(8, "heap")

@@ -390,6 +390,32 @@ class TestWildPointers:
         """, MemorySafetyError)
 
 
+    @pytest.mark.parametrize("off", (2, 3, 4, 5))
+    def test_int_write_over_half_an_unaligned_pointer_traps(self, off):
+        # The pointer stored at buf + 2 spans bytes 2-5: an int written
+        # at any of those bytes clears its tag, and both engines fail
+        # the read back with the same CheckFailure record.
+        src = f"""
+        int g;
+        int main(void) {{
+          char buf[16];
+          char **slot = (char **)(buf + 2);
+          int *ip = (int *)(buf + {off});
+          char *q;
+          *slot = (char *)&g;
+          *ip = 12345;
+          q = *slot;
+          return q == (char *)&g;
+        }}
+        """
+        records = []
+        for engine in ("closures", "tree"):
+            with pytest.raises(WildTagError) as ei:
+                run_cured(cure_src(src), engine=engine)
+            records.append((str(ei.value), ei.value.failure.to_json()))
+        assert records[0] == records[1]
+
+
 class TestUncuredContrast:
     def test_uncured_overflow_corrupts_silently(self):
         src = """
