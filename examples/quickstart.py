@@ -50,7 +50,7 @@ def main() -> None:
     print("=" * 64)
     result = run_cured(cured, args=["Ada"])
     print(result.stdout, end="")
-    print(f"-> exit {result.status}, {result.cost.total} cycles")
+    print(f"-> exit {result.status}, {result.cycles} cycles")
 
     print()
     print("=" * 64)

@@ -33,7 +33,7 @@ def main() -> None:
     assert benign.stdout == raw.stdout and benign.status == raw.status
     print(benign.stdout)
     print(f"cured and uncured agree; CCured overhead: "
-          f"{benign.cost.total / raw.cost.total:.2f}x "
+          f"{benign.cycles / raw.cycles:.2f}x "
           f"(paper measured 1.01x)")
 
     print()

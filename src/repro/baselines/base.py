@@ -4,9 +4,11 @@ The paper compares CCured against Purify and Valgrind (Section 5 and
 Figure 9).  Both are *binary* instrumentation tools: they observe every
 memory access of the uninstrumented program and keep shadow state.  We
 reproduce them as :class:`ShadowChecker` plugins on the raw
-interpreter: the interpreter calls the hooks on every instruction,
-access, allocation and free, and each tool maintains its shadow state
-and charges its published overhead profile.
+interpreter: the interpreter calls the hooks on every access,
+allocation and free, and each tool maintains its shadow state and
+counts the events it pays for.  :mod:`repro.runtime.cost` prices them
+with the tool's published overhead profile (its row of
+``TOOL_PRICES``, looked up by ``name``).
 
 Detected violations raise :class:`BaselineViolation` — deliberately a
 different hierarchy from CCured's
@@ -30,7 +32,7 @@ class BaselineViolation(Exception):
 
 
 class ShadowChecker:
-    """Base class: does nothing, costs nothing."""
+    """Base class: checks nothing, counts nothing."""
 
     #: request guard gaps (red zones) around heap allocations.
     wants_redzones = False
@@ -46,8 +48,6 @@ class ShadowChecker:
 
     # -- hooks ---------------------------------------------------------
 
-    def on_instr(self) -> None: ...
-
     def on_read(self, addr: int, size: int) -> None: ...
 
     def on_write(self, addr: int, size: int) -> None: ...
@@ -61,3 +61,19 @@ class ShadowChecker:
     def _home(self, addr: int) -> Optional[Home]:
         assert self.ip is not None
         return self.ip.mem.home_of(addr)
+
+    def _count_access(self, size: int) -> None:
+        assert self.ip is not None
+        events = self.ip.cost.events
+        events["shadow_access"] += 1
+        events["shadow_byte"] += size
+
+    def _count_alloc(self, home: Home) -> None:
+        assert self.ip is not None
+        events = self.ip.cost.events
+        events["shadow_alloc"] += 1
+        events["shadow_alloc_byte"] += home.size
+
+    def _count_free(self) -> None:
+        assert self.ip is not None
+        self.ip.cost.events["shadow_free"] += 1

@@ -11,7 +11,8 @@ which the paper leans on for its comparison (Section 5):
 * **misses pointer arithmetic between two separate valid regions** —
   an access that lands inside *another* live allocation looks fine;
 * costs a function call into the runtime per memory access, yielding
-  the paper's 25–100x slowdowns.
+  the paper's 25–100x slowdowns (its prices are the ``purify`` row of
+  ``repro.runtime.cost.TOOL_PRICES``).
 
 Our shadow state tracks heap addressability and per-byte
 initialization; stack and global accesses are deliberately not
@@ -21,16 +22,12 @@ validated, reproducing the blind spots above.
 from __future__ import annotations
 
 from repro.baselines.base import BaselineViolation, ShadowChecker
-from repro.runtime.cost import (PURIFY_ACCESS_OVERHEAD,
-                                PURIFY_ALLOC_OVERHEAD, PURIFY_PER_BYTE)
 from repro.runtime.memory import Home
 
 
 class PurifyChecker(ShadowChecker):
     wants_redzones = True
     name = "purify"
-    #: Purify intercepts the I/O path with instrumented wrappers.
-    io_dilation = 5
 
     def __init__(self) -> None:
         super().__init__()
@@ -44,37 +41,28 @@ class PurifyChecker(ShadowChecker):
     # -- allocation tracking -----------------------------------------------
 
     def on_alloc(self, home: Home) -> None:
-        assert self.ip is not None
         self._live_heap[home.hid] = True
         self._init_bits[home.hid] = bytearray(home.size)
-        self.ip.cost.charge(PURIFY_ALLOC_OVERHEAD
-                            + PURIFY_PER_BYTE * home.size,
-                            "purify:alloc")
+        self._count_alloc(home)
 
     def on_free(self, home: Home) -> None:
-        assert self.ip is not None
         if not self._live_heap.get(home.hid, False):
             self.errors_reported += 1
             raise BaselineViolation("purify",
                                     "FNH: freeing non-heap block")
         self._live_heap[home.hid] = False
-        self.ip.cost.charge(PURIFY_ALLOC_OVERHEAD, "purify:free")
+        self._count_free()
 
     # -- access checking ------------------------------------------------------
 
-    def _charge(self, size: int) -> None:
-        assert self.ip is not None
-        self.ip.cost.charge(PURIFY_ACCESS_OVERHEAD
-                            + PURIFY_PER_BYTE * size, "purify:access")
-
     def on_read(self, addr: int, size: int) -> None:
         self.reads += 1
-        self._charge(size)
+        self._count_access(size)
         self._validate(addr, size, "read")
 
     def on_write(self, addr: int, size: int) -> None:
         self.writes += 1
-        self._charge(size)
+        self._count_access(size)
         home = self._validate(addr, size, "write")
         if home is not None and home.hid in self._init_bits:
             off = addr - home.base

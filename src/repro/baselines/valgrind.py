@@ -11,27 +11,22 @@ Figure 9):
 * like Purify, **misses out-of-bounds stack array indexing** and
   accesses that land inside another valid allocation.
 
-The cost model separates the two components: a per-instruction JIT
-dilation (which dominates CPU-bound code, hence bind's 129x) and a
-per-access shadow update (which dominates memory-bound code).
+The cost model separates the two components (the ``valgrind`` row
+of ``repro.runtime.cost.TOOL_PRICES``): a per-instruction JIT dilation
+(which dominates CPU-bound code, hence bind's 129x) and a per-access
+shadow update (which dominates memory-bound code).  The dilation
+needs no hook: it is a price on the instructions every run counts.
 """
 
 from __future__ import annotations
 
 from repro.baselines.base import BaselineViolation, ShadowChecker
-from repro.runtime.cost import (VALGRIND_ACCESS_OVERHEAD,
-                                VALGRIND_ALLOC_OVERHEAD,
-                                VALGRIND_INSTR_DILATION,
-                                VALGRIND_PER_BYTE)
 from repro.runtime.memory import Home
 
 
 class ValgrindChecker(ShadowChecker):
     wants_redzones = True
     name = "valgrind"
-    #: everything, including the user-side I/O path, runs under the
-    #: JIT; syscalls are intercepted and serialized.
-    io_dilation = 9
 
     def __init__(self) -> None:
         super().__init__()
@@ -40,43 +35,27 @@ class ValgrindChecker(ShadowChecker):
         self._vbits: dict[int, bytearray] = {}
         self.errors_reported = 0
 
-    def on_instr(self) -> None:
-        # JIT translation dilates every instruction.
-        assert self.ip is not None
-        self.ip.cost.charge(VALGRIND_INSTR_DILATION - 1,
-                            "valgrind:jit")
-
     def on_alloc(self, home: Home) -> None:
-        assert self.ip is not None
         self._live_heap[home.hid] = True
         self._vbits[home.hid] = bytearray(home.size)
-        self.ip.cost.charge(VALGRIND_ALLOC_OVERHEAD
-                            + VALGRIND_PER_BYTE * home.size,
-                            "valgrind:alloc")
+        self._count_alloc(home)
 
     def on_free(self, home: Home) -> None:
-        assert self.ip is not None
         if not self._live_heap.get(home.hid, False):
             self.errors_reported += 1
             raise BaselineViolation(
                 "valgrind", "invalid free() of non-heap address")
         self._live_heap[home.hid] = False
-        self.ip.cost.charge(VALGRIND_ALLOC_OVERHEAD, "valgrind:free")
-
-    def _charge(self, size: int) -> None:
-        assert self.ip is not None
-        self.ip.cost.charge(VALGRIND_ACCESS_OVERHEAD
-                            + VALGRIND_PER_BYTE * size,
-                            "valgrind:access")
+        self._count_free()
 
     def on_read(self, addr: int, size: int) -> None:
         self.reads += 1
-        self._charge(size)
+        self._count_access(size)
         self._validate(addr, size, "read")
 
     def on_write(self, addr: int, size: int) -> None:
         self.writes += 1
-        self._charge(size)
+        self._count_access(size)
         home = self._validate(addr, size, "write")
         if home is not None and home.hid in self._vbits:
             off = addr - home.base

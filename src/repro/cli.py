@@ -61,7 +61,12 @@ exits 2 with one message before any work starts.
 
 The exit status of ``run`` is the program's exit status; memory-safety
 failures exit with status 99 after printing the check that fired,
-mirroring how a cured binary aborts with a check message.
+mirroring how a cured binary aborts with a check message.  Every
+command prints one line on stderr and exits 3 when the front end
+rejects a C file (``file:line:col: message``: a syntax error, a
+preprocessing error or an unsupported construct), and exits 4 when a
+run exceeds an interpreter limit (the step budget, the call depth,
+the heap or the stdout size).
 """
 
 from __future__ import annotations
@@ -72,13 +77,21 @@ from typing import Optional, Sequence
 
 from repro.core import CureOptions, cure
 from repro.core.options import OPTIMIZE_LEVELS
-from repro.frontend import parse_program
+from pycparser.c_parser import ParseError
+
+from repro.cpp import PreprocessError
+from repro.frontend import UnsupportedCError, parse_program
 from repro.interp import ENGINES, run_cured, run_raw
-from repro.runtime.checks import (MemorySafetyError, ProgramAbort,
+from repro.runtime.checks import (InterpreterLimitError,
+                                  MemorySafetyError, ProgramAbort,
                                   SegmentationFault)
 from repro.workloads import UnknownSelection
 
 SAFETY_EXIT = 99
+#: the front end rejected the C input
+REJECT_EXIT = 3
+#: a run exceeded an interpreter limit
+LIMIT_EXIT = 4
 
 
 def _read_source(path: str) -> str:
@@ -233,7 +246,6 @@ def cmd_run(args: argparse.Namespace) -> int:
                                engine=args.engine,
                                reuse_freed=args.reuse_freed)
     except MemorySafetyError as exc:
-        print(result_stdout_of(exc), end="")
         print(f"[{type(exc).__name__}] {exc}", file=sys.stderr)
         _print_blame(exc)
         return SAFETY_EXIT
@@ -243,14 +255,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     sys.stdout.write(result.stdout)
     if args.stats:
         print(f"[exit {result.status}; {result.steps} steps; "
-              f"{result.cost.total} cycles]", file=sys.stderr)
+              f"{result.cycles} cycles]", file=sys.stderr)
     return result.status
-
-
-def result_stdout_of(exc: BaseException) -> str:
-    # Output produced before the failing check is not tracked on the
-    # exception; keep the hook for future use.
-    return ""
 
 
 def _print_blame(exc: BaseException) -> None:
@@ -1136,6 +1142,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UnknownSelection as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
+    except UnsupportedCError as exc:
+        print(f"{exc.where}: {exc.message}" if exc.where else exc,
+              file=sys.stderr)
+        return REJECT_EXIT
+    except (ParseError, PreprocessError) as exc:
+        # both already read ``file:line[:col]: message``
+        print(exc, file=sys.stderr)
+        return REJECT_EXIT
+    except InterpreterLimitError as exc:
+        print(f"[InterpreterLimitError] {exc}", file=sys.stderr)
+        return LIMIT_EXIT
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ location.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from pycparser import c_ast
 
@@ -42,8 +42,11 @@ class UnsupportedCError(Exception):
 
     def __init__(self, message: str, node: Optional[c_ast.Node] = None):
         coord = getattr(node, "coord", None)
-        where = f" at {coord}" if coord else ""
-        super().__init__(message + where)
+        #: ``file:line:col`` of the construct ("" when unknown)
+        self.where = str(coord) if coord else ""
+        self.message = message
+        super().__init__(message + (f" at {self.where}"
+                                    if self.where else ""))
 
 
 _INT_TYPE_NAMES = {

@@ -15,8 +15,8 @@ expression.  Everything static is resolved at compile time:
 * lvalue shape (register vs. home, constant field offsets folded,
   element sizes precomputed),
 * scalar type facts (sizes, signedness, wrap masks),
-* pointer-kind representation costs (wide/split charges become
-  precomputed constants),
+* pointer-kind representation events (the wide/split counts of a
+  pointer slot become precomputed constants),
 * check kinds (one specialized closure per ``Check`` instruction).
 
 For the hottest node shapes the compiler goes one step further and
@@ -48,11 +48,12 @@ machinery as possible.
 The closures are compiled per ``cured`` mode and parameterized over
 ``(ip, frame)`` so one compilation is shared by every
 :class:`~repro.interp.interp.Interpreter` over the same tree.  The
-compiled code replicates the tree-walker's cost-model charges, step
+compiled code replicates the tree-walker's cost-model counts, step
 counting and error behaviour exactly — the differential test in
-``tests/test_engine_parity.py`` asserts bit-identical
-``(status, stdout, cycles, steps)`` on every workload, which is what
-licenses using the fast engine for the paper's measurements.
+``tests/test_engine_parity.py`` asserts a bit-identical
+``(status, stdout, cycles, steps)`` and count vector on every
+workload, which is what licenses using the fast engine for the
+paper's measurements.
 
 The cache is a :class:`weakref.WeakKeyDictionary` keyed by ``Fundec``,
 beside the tree rather than in it: compiled code never outlives its
@@ -74,9 +75,7 @@ from repro.runtime.checks import (BoundsError, DanglingPointerError,
                                   LinkError, MemorySafetyError,
                                   NullDereferenceError, ProgramAbort,
                                   WildTagError)
-from repro.runtime.cost import (CHECK_COSTS, COST_MEM_WORD,
-                                COST_SPLIT_META, COST_WILD_TAG_UPDATE,
-                                WIDE_EXTRA_WORDS, mem_words)
+from repro.runtime.cost import mem_words
 from repro.runtime.memory import PtrMeta
 from repro.runtime.values import PtrVal
 
@@ -135,15 +134,10 @@ def _gen(src: str, env: dict) -> Callable:
     return ns["run"]
 
 
-#: per-instruction charge prologue shared by Set/Call/Check sources
+#: per-instruction count prologue shared by Set/Call/Check sources
 _INSTR_HEAD = (
     "def run(ip, f):\n"
-    "    c = ip.cost\n"
-    "    c.cycles += 1\n"
-    "    c.instrs += 1\n"
-    "    sh = ip.shadow\n"
-    "    if sh is not None:\n"
-    "        sh.on_instr()\n")
+    "    ip.cost.instrs += 1\n")
 
 #: per-statement step accounting shared by If/Return sources.  The
 #: limit compare goes against ``_limit_at`` (== max_steps without a
@@ -317,7 +311,7 @@ class _Compiler:
     # ------------------------------------------------------------------
 
     def block_body(self, b: S.Block) -> Callable:
-        """Runner for a statement list *without* a step charge for the
+        """Runner for a statement list *without* a step count for the
         block itself (If branches, loop bodies, function bodies); it
         stops at, and returns, the first statement's signal."""
         stmts = tuple(self.stmt(s) for s in b.stmts)
@@ -363,7 +357,7 @@ class _Compiler:
                 return signal
             return run
 
-        # Unknown statement classes: the tree walker charges the step
+        # Unknown statement classes: the tree walker counts the step
         # and falls through; replicate.
         def run(ip, f):
             ip.steps += 1
@@ -396,9 +390,7 @@ class _Compiler:
         # truthiness matches the tree walker: ints by value, pointers
         # by address, everything else by bool()
         src = (_STEP_HEAD +
-               "    c = ip.cost\n"
-               "    c.cycles += 1\n"
-               "    c.instrs += 1\n"
+               "    ip.cost.branches += 1\n"
                f"    v = {fcode}\n"
                "    if v.__class__ is PtrVal:\n"
                "        v = v.addr\n"
@@ -563,27 +555,19 @@ class _Compiler:
     def _compile_check(self, c: S.Check) -> Callable:
         if not self.cured:
             # Raw runs of an instrumented program: the instruction is
-            # charged (and seen by shadow tools) but the check is inert.
+            # counted but the check is inert.
             def run(ip, f):
-                cm = ip.cost
-                cm.cycles += 1
-                cm.instrs += 1
-                sh = ip.shadow
-                if sh is not None:
-                    sh.on_instr()
+                ip.cost.instrs += 1
             return run
 
         head = (_INSTR_HEAD
-                + "    c.cycles += ck\n"
-                + "    c.events[evk] += 1\n"
+                + "    ip.cost.events[evk] += 1\n"
                 # per-site hit counters for the observability layer;
                 # a None mapping keeps this to one attribute test
                 + "    hits = ip.site_hits\n"
                 + "    if hits is not None:\n"
                 + "        hits[sitek] = hits.get(sitek, 0) + 1\n")
-        env: dict = {"ck": CHECK_COSTS.get(c.kind, 1),
-                     "evk": f"check:{c.kind.value}",
-                     "sitek": c.site}
+        env: dict = {"evk": f"check:{c.kind.value}", "sitek": c.site}
         body = self._check_body_code(c)
         if body is None:
             return _gen(head, env)
@@ -607,7 +591,7 @@ class _Compiler:
         kind = c.kind
         if kind in (K.SAFE_TO_SEQ, K.STORE_STACK_PTR, K.VERIFY_NUL,
                     K.VERIFY_SIZE):
-            return None  # cost only
+            return None  # counted only
 
         fcode, fenv = self._fetch(c.args[0], 1)
 
@@ -822,13 +806,6 @@ class _Compiler:
         lines.append(f"    addr = {expr}\n")
         return "".join(lines), env, t
 
-    def lval_addr(self, lv: E.Lval) -> tuple[Callable, T.CType]:
-        """Compile an address computation ``(ip, f) -> addr`` plus the
-        statically-known type of the addressed storage."""
-        code, env, t = self._addr_code(lv)
-        fn = _gen("def run(ip, f):\n" + code + "    return addr\n", env)
-        return fn, t
-
     def read_lval(self, lv: E.Lval) -> Callable:
         if lv.host.__class__ is E.Var and self._is_reg(lv.host.var):
             vid = lv.host.var.vid
@@ -889,15 +866,15 @@ class _Compiler:
     # Typed memory access (specialized on the static type)
     # ------------------------------------------------------------------
 
-    def _ptr_slot_charges(self, u: T.TPtr,
-                          store: bool) -> tuple[int, int, int, bool]:
-        """Precompute ``Interpreter._charge_ptr_slot`` for a pointer
-        slot: (extra_cycles, wides_inc, splits_inc, wild_tag)."""
-        node = u.node
+    def _ptr_slot_events(self, u: T.CType,
+                         store: bool) -> dict[str, int]:
+        """Precompute ``Interpreter._count_ptr_slot``: the events one
+        move of a ``u``-typed slot counts beside its memory words."""
+        node = u.node if isinstance(u, T.TPtr) else None
         if node is None or not self.cured:
-            return 0, 0, 0, False
+            return {}
         kind = node.kind
-        wild_tag = store and kind is PointerKind.WILD
+        events: dict[str, int] = {}
         if node.split:
             ops = 0
             if kind is PointerKind.SEQ:
@@ -907,48 +884,46 @@ class _Compiler:
             if node.has_meta:
                 ops += 1
             if ops:
-                return COST_SPLIT_META * ops, 0, ops, wild_tag
-            return 0, 0, 0, wild_tag
-        extra = WIDE_EXTRA_WORDS.get(kind.name, 0)
-        if extra:
-            return extra, 1, 0, wild_tag
-        return 0, 0, 0, wild_tag
+                events["split"] = ops
+        elif kind is not PointerKind.SAFE:
+            events["wide:" + kind.name] = 1
+        if store and kind is PointerKind.WILD:
+            events["wild_tag"] = 1
+        return events
+
+    def _count_code(self, u: T.CType, hook: str) -> tuple[str, dict]:
+        """Source lines counting one access of a ``u``-typed slot at
+        ``addr`` (its memory words and pointer-slot events), then
+        showing it to the shadow tool's ``hook``."""
+        size = _static_sizeof(u)
+        env: dict = {"words": mem_words(size), "size": size}
+        lines = "    ip.cost.words += words\n"
+        events = self._ptr_slot_events(u, hook == "on_write")
+        for n, (key, count) in enumerate(events.items()):
+            env[f"ek{n}"] = key
+            env[f"en{n}"] = count
+            lines += f"    ip.cost.events[ek{n}] += en{n}\n"
+        return (lines + "    sh = ip.shadow\n"
+                "    if sh is not None:\n"
+                f"        sh.{hook}(addr, size)\n", env)
 
     def _read_body(self, t: T.CType) -> Optional[tuple[str, dict]]:
         """Source lines loading a ``t``-typed value from ``addr`` (the
-        cost/shadow charges included); None for aggregates."""
+        counts and the shadow hook included); None for aggregates."""
         u = T.unroll(t)
-        size = _static_sizeof(u)
-        words = mem_words(size) * COST_MEM_WORD
-        charge = ("    c = ip.cost\n"
-                  "    c.cycles += words\n"
-                  "    c.mems += 1\n"
-                  "    sh = ip.shadow\n"
-                  "    if sh is not None:\n"
-                  "        sh.on_read(addr, size)\n")
+        count, env = self._count_code(u, "on_read")
         if isinstance(u, (T.TInt, T.TEnum)):
-            signed = u.kind.is_signed if isinstance(u, T.TInt) else True
-            return (charge +
+            env["signed"] = (u.kind.is_signed if isinstance(u, T.TInt)
+                             else True)
+            return (count +
                     "    return ip.mem.read_int(addr, size, signed)\n",
-                    {"words": words, "size": size, "signed": signed})
+                    env)
         if isinstance(u, T.TFloat):
-            return (charge +
-                    "    return ip.mem.read_float(addr, size)\n",
-                    {"words": words, "size": size})
+            return (count +
+                    "    return ip.mem.read_float(addr, size)\n", env)
         if isinstance(u, T.TPtr):
-            cyc, wides, splits, _ = self._ptr_slot_charges(u, False)
-            env = {"words": words + cyc, "size": size,
-                   "from_meta": PtrVal.from_meta}
-            extra = ""
-            if wides:
-                env["wides"] = wides
-                extra += "    c.wides += wides\n"
-            if splits:
-                env["splits"] = splits
-                extra += "    c.splits += splits\n"
-            lines = (charge.replace("    c.mems += 1\n",
-                                    "    c.mems += 1\n" + extra)
-                     + "    value, meta = ip.mem.read_ptr(addr)\n")
+            env["from_meta"] = PtrVal.from_meta
+            lines = count + "    value, meta = ip.mem.read_ptr(addr)\n"
             if self.cured and u.node is not None and u.node.split:
                 # Section 4.2: SPLIT data written by a library has no
                 # shadow metadata yet; the allocator's ground truth
@@ -960,8 +935,7 @@ class _Compiler:
                     "        if home is not None:\n"
                     "            meta = PtrMeta(b=home.base, "
                     "e=home.end)\n"
-                    "            c.cycles += 4\n"
-                    "            c.events['split:manufacture'] += 1\n")
+                    "            ip.cost.events['manufacture'] += 1\n")
             return lines + "    return from_meta(value, meta)\n", env
         return None
 
@@ -969,43 +943,21 @@ class _Compiler:
         """Source lines storing ``value`` at ``addr``; None for
         aggregates (generic ``_write_mem`` handles those)."""
         u = T.unroll(t)
-        size = _static_sizeof(u)
-        words = mem_words(size) * COST_MEM_WORD
-        charge = ("    c = ip.cost\n"
-                  "    c.cycles += words\n"
-                  "    c.mems += 1\n"
-                  "    sh = ip.shadow\n"
-                  "    if sh is not None:\n"
-                  "        sh.on_write(addr, size)\n")
+        count, env = self._count_code(u, "on_write")
         if isinstance(u, (T.TInt, T.TEnum)):
-            return (charge +
+            env["_as_int"] = _as_int
+            return (count +
                     "    ip.mem.write_int(addr, value if "
                     "value.__class__ is int else _as_int(value), "
-                    "size)\n",
-                    {"words": words, "size": size, "_as_int": _as_int})
+                    "size)\n", env)
         if isinstance(u, T.TFloat):
-            return (charge +
+            env["_as_float"] = _as_float
+            return (count +
                     "    ip.mem.write_float(addr, _as_float(value), "
-                    "size)\n",
-                    {"words": words, "size": size,
-                     "_as_float": _as_float})
+                    "size)\n", env)
         if isinstance(u, T.TPtr):
-            cyc, wides, splits, wild_tag = self._ptr_slot_charges(
-                u, True)
-            env = {"words": words + cyc
-                   + (COST_WILD_TAG_UPDATE if wild_tag else 0),
-                   "size": size, "PtrVal": PtrVal, "_as_int": _as_int}
-            extra = ""
-            if wides:
-                env["wides"] = wides
-                extra += "    c.wides += wides\n"
-            if splits:
-                env["splits"] = splits
-                extra += "    c.splits += splits\n"
-            if wild_tag:
-                extra += "    c.events['wild-tag'] += 1\n"
-            lines = (charge.replace("    c.mems += 1\n",
-                                    "    c.mems += 1\n" + extra)
+            env.update(PtrVal=PtrVal, _as_int=_as_int)
+            lines = (count
                      + "    v = value if value.__class__ is PtrVal "
                      "else PtrVal(_as_int(value))\n"
                      "    meta = v.meta()\n")
@@ -1024,7 +976,7 @@ class _Compiler:
         body = self._read_body(t)
         if body is None:
             # Aggregates and anything exotic: the generic path already
-            # handles blobs, charges and shadow hooks.
+            # handles blobs, counts and shadow hooks.
             def run(ip, addr, _t=t):
                 return ip._read_mem(addr, _t)
             return run
@@ -1166,7 +1118,7 @@ class _Compiler:
             if fast is not None:
                 return fast
             # Index offsets walk the chain up to three times with
-            # interleaved charges; delegate to the tree engine's exact
+            # interleaved counts; delegate to the tree engine's exact
             # code to keep cycle parity (cold relative to plain loads).
             lv = e.lval
             return lambda ip, f: ip._eval_addrof(lv, f)
@@ -1178,8 +1130,8 @@ class _Compiler:
             return lambda ip, f: ip._eval_startof(lv, f)
         raise MemorySafetyError(f"cannot evaluate {e!r}")
 
-    def _charge_free(self, e: E.Exp) -> bool:
-        """Evaluating ``e`` charges no cycles and has no side effects,
+    def _counts_nothing(self, e: E.Exp) -> bool:
+        """Evaluating ``e`` counts no events and has no side effects,
         so the tree engine may evaluate it once or three times with
         identical cost — exactly constants and register reads."""
         if e.__class__ is E.Const:
@@ -1193,9 +1145,9 @@ class _Compiler:
 
     def _compile_addrof(self, lv: E.Lval) -> Optional[Callable]:
         """``&lval`` compiled when every Index expression in the offset
-        chain is charge-free: the tree engine walks the chain three
+        chain counts nothing: the tree engine walks the chain three
         times (location, ``_offset_delta``, the bounds walk), so a
-        charging index would be billed thrice there but once here.
+        counting index would be counted thrice there but once here.
         Bounds replicate ``_bounds_for_addr``: the extent of the
         innermost fixed-length indexed array, else the object itself."""
         if lv.host.__class__ is E.Var:
@@ -1207,7 +1159,7 @@ class _Compiler:
         off = lv.offset
         while not isinstance(off, E.NoOffset):
             if isinstance(off, E.Index) and \
-                    not self._charge_free(off.index):
+                    not self._counts_nothing(off.index):
                 return None
             off = off.rest
         host_lines, env, base, t = self._host_code(lv)
@@ -1279,7 +1231,7 @@ class _Compiler:
     def _compile_startof(self, lv: E.Lval) -> Optional[Callable]:
         """Array-to-pointer decay.  The tree engine resolves the
         location with a single offset walk (indices evaluated and
-        charged once), so any offset chain compiles directly."""
+        counted once), so any offset chain compiles directly."""
         if lv.host.__class__ is E.Var and self._is_reg(lv.host.var):
             return None  # tree asserts; keep its diagnostic
         code, env, t = self._addr_code(lv)
@@ -1300,7 +1252,7 @@ class _Compiler:
         fcode, fenv = self._fetch(e.e, 1)
         if e.op is E.UnopKind.LNOT:
             src = ("def run(ip, f):\n"
-                   "    ip.cost.cycles += 1\n"
+                   "    ip.cost.ops += 1\n"
                    f"    v = {fcode}\n"
                    "    if v.__class__ is PtrVal:\n"
                    "        return 0 if v.addr != 0 else 1\n"
@@ -1324,7 +1276,7 @@ class _Compiler:
             else:
                 body = f"        return {fast}\n"
             src = ("def run(ip, f):\n"
-                   "    ip.cost.cycles += 1\n"
+                   "    ip.cost.ops += 1\n"
                    f"    v = {fcode}\n"
                    "    if v.__class__ is int:\n"
                    + body +
@@ -1335,7 +1287,7 @@ class _Compiler:
         sub = self.exp(e.e)
         if neg:
             def run(ip, f):
-                ip.cost.cycles += 1
+                ip.cost.ops += 1
                 v = sub(ip, f)
                 if isinstance(v, PtrVal):
                     v = v.addr
@@ -1343,7 +1295,7 @@ class _Compiler:
             return run
 
         def run(ip, f):
-            ip.cost.cycles += 1
+            ip.cost.ops += 1
             v = sub(ip, f)
             if isinstance(v, PtrVal):
                 v = v.addr
@@ -1360,7 +1312,7 @@ class _Compiler:
         f1, env1 = self._fetch(e.e1, 1)
         f2, env2 = self._fetch(e.e2, 2)
         head = ("def run(ip, f):\n"
-                "    ip.cost.cycles += 1\n"
+                "    ip.cost.ops += 1\n"
                 f"    v1 = {f1}\n"
                 f"    v2 = {f2}\n")
         if op is E.BinopKind.PLUS_PI or op is E.BinopKind.MINUS_PI:
@@ -1455,7 +1407,7 @@ class _Compiler:
     def _compile_cast(self, e: E.CastE) -> Callable:
         fcode, fenv = self._fetch(e.e, 1)
         head = ("def run(ip, f):\n"
-                "    ip.cost.cycles += 1\n"
+                "    ip.cost.ops += 1\n"
                 f"    v = {fcode}\n")
         target = T.unroll(e.t)
         if isinstance(target, (T.TInt, T.TEnum)):

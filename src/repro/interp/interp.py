@@ -6,7 +6,7 @@ Two modes share one abstract machine:
   values flow according to the inferred kinds, ``Check`` instructions
   perform CCured's run-time checks (raising the errors of
   :mod:`repro.runtime.checks`), library calls go through wrappers, and
-  the cost model charges checks and wide/split representations.
+  the cost model counts checks and wide/split representations.
 
 * **raw** — executes the uninstrumented program with hardware
   semantics: no checks, overflows corrupt adjacent memory (homes are
@@ -14,21 +14,23 @@ Two modes share one abstract machine:
   :class:`SegmentationFault`.  An optional *shadow checker* (the
   Purify/Valgrind baselines) observes every access through hooks.
 
-The interpreter is also the measurement instrument: it counts executed
-instructions and charges the deterministic cost model, so benchmark
-ratios (cured/raw, purify/raw, …) are exactly reproducible.
+The interpreter is also the measurement instrument: it counts every
+executed instruction, branch test, operator, memory word and check in
+the deterministic cost model (:mod:`repro.runtime.cost` prices the
+counts), so benchmark ratios (cured/raw, purify/raw, …) are exactly
+reproducible.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.cil import expr as E
 from repro.cil import stmt as S
 from repro.cil import types as T
-from repro.cil.program import GFun, GPragma, GVar, Program
+from repro.cil.program import GVar, Program
 from repro.core.curer import CuredProgram
 from repro.core.qualifiers import PointerKind
 from repro.core.split import needs_metadata
@@ -46,9 +48,12 @@ from repro.runtime.checks import (BoundsError, CompatibilityError,
                                   UseAfterFreeError, WildTagError,
                                   attach_failure)
 from repro.obs.tracer import TRACER
-from repro.runtime.cost import COST_WILD_TAG_UPDATE, CostModel
+from repro.runtime.cost import CostModel, mem_words
 from repro.runtime.memory import Home, Memory, PtrMeta
 from repro.runtime.values import NULL, POISON_ADDR, BlobVal, PtrVal
+
+if TYPE_CHECKING:
+    from repro.baselines.base import ShadowChecker
 
 
 class _Break(Exception):
@@ -83,11 +88,10 @@ class ExecResult:
     cost: CostModel
     steps: int
     error: Optional[BaseException] = None
-    peak_heap: int = 0
 
     @property
     def cycles(self) -> int:
-        return self.cost.total
+        return self.cost.cycles
 
     @property
     def checks_executed(self) -> int:
@@ -98,7 +102,7 @@ class ExecResult:
     def __repr__(self) -> str:
         e = f", error={type(self.error).__name__}" if self.error else ""
         return (f"<exit {self.status}, {self.steps} steps, "
-                f"{self.cost.total} cycles{e}>")
+                f"{self.cost.cycles} cycles{e}>")
 
 
 def _is_register_type(t: T.CType) -> bool:
@@ -118,10 +122,9 @@ class Interpreter:
 
     def __init__(self, prog: Program, *,
                  cured: Optional[CuredProgram] = None,
-                 shadow: Optional[object] = None,
+                 shadow: Optional["ShadowChecker"] = None,
                  max_steps: int = 50_000_000,
                  stdin: str = "",
-                 cost: Optional[CostModel] = None,
                  engine: str = "closures",
                  stdout_limit: int = 4_000_000,
                  deadline: Optional[float] = None,
@@ -153,13 +156,13 @@ class Interpreter:
         self.shadow = shadow
         if self.cured:
             gaps = {"stack", "heap", "global", "rodata", "code"}
-        elif shadow is not None and getattr(shadow, "wants_redzones",
-                                            False):
+        elif shadow is not None and shadow.wants_redzones:
             gaps = {"heap"}  # red zones on the heap, silent stack
         else:
             gaps = set()  # bare hardware: overflows corrupt neighbours
         self.mem = Memory(gap_regions=gaps, reuse_freed=reuse_freed)
-        self.cost = cost if cost is not None else CostModel()
+        # priced for the attached tool (cost.TOOL_PRICES)
+        self.cost = CostModel(shadow.name if shadow is not None else "")
         # attach before globals are initialized: the shadow tools see
         # every access from the very first write
         if shadow is not None:
@@ -296,20 +299,6 @@ class Interpreter:
         assert self._next_clock is not None
         self._next_clock += self._clock_every
         self._limit_at = min(self.max_steps, self._next_clock)
-
-    def io_charge(self, cycles: int) -> None:
-        """Charge simulated I/O latency (kernel/device/wire time).
-
-        CCured's checks do not slow the kernel down, so cured runs pay
-        the same latency as raw runs — that is why the paper's
-        I/O-bound subjects (ftpd, Apache modules, drivers) measure
-        ~1.0x.  Valgrind JIT-translates the whole user-side I/O path
-        and Purify intercepts it, so shadow tools pay a dilation
-        factor on top (ftpd under Valgrind: 9.42x in Fig. 9)."""
-        dilation = 1
-        if self.shadow is not None:
-            dilation = getattr(self.shadow, "io_dilation", 1)
-        self.cost.charge(cycles * dilation, "io")
 
     def write_stdout(self, text: str) -> None:
         self._stdout.append(text)
@@ -474,7 +463,7 @@ class Interpreter:
                 if error is None:
                     sh.on_read(p.addr, len(text) + 1)
             else:
-                # hardware reads byte by byte: a shadow tool charges
+                # hardware reads byte by byte: a shadow tool counts
                 # and checks each one, up to the NUL or the trap
                 for a in range(p.addr, p.addr + len(text)
                                + (error is None)):
@@ -556,8 +545,7 @@ class Interpreter:
         finally:
             sys.setrecursionlimit(old_limit)
         return ExecResult(status, self.stdout_text(), self.cost,
-                          self.steps, error,
-                          self.mem.bytes_allocated)
+                          self.steps, error)
 
     # ------------------------------------------------------------------
     # Calls
@@ -691,7 +679,7 @@ class Interpreter:
                 check="LINK", function=self._current_function())
         if self.cured and instr is not None:
             self._check_library_compat(name, instr)
-        self.cost.charge(4, f"libcall:{name}")
+        self.cost.events["libcall"] += 1
         return impl(self, *args)
 
     def _check_library_compat(self, name: str,
@@ -758,7 +746,7 @@ class Interpreter:
         elif isinstance(s, S.Block):
             self._exec_block(s, frame)
         elif isinstance(s, S.If):
-            self.cost.charge_instr()
+            self.cost.branches += 1
             if self._truthy(self.eval(s.cond, frame)):
                 self._exec_block(s.then, frame)
             else:
@@ -788,9 +776,7 @@ class Interpreter:
                     return
 
     def _exec_instr(self, i: S.Instr, frame: Frame) -> None:
-        self.cost.charge_instr()
-        if self.shadow is not None:
-            self.shadow.on_instr()
+        self.cost.instrs += 1
         if isinstance(i, S.Set):
             v = self.eval(i.exp, frame)
             self._write_lval(i.lval, frame,
@@ -871,7 +857,7 @@ class Interpreter:
         return blame
 
     def _exec_check_kind(self, c: S.Check, frame: Frame) -> None:
-        self.cost.charge_check(c.kind)
+        self.cost.events["check:" + c.kind.value] += 1
         K = S.CheckKind
         if c.kind is K.NULL:
             v = self._ptr_arg(c, frame)
@@ -915,7 +901,7 @@ class Interpreter:
                     f"0x{v.e:x} - {size}", frame.fundec.name)
             self._check_alive(v, frame)
         elif c.kind is K.SAFE_TO_SEQ:
-            pass  # manufactures bounds; cost only
+            pass  # manufactures bounds; counted only
         elif c.kind is K.ALIVE:
             v = self._ptr_arg(c, frame)
             self._check_temporal(v, frame)
@@ -945,7 +931,7 @@ class Interpreter:
                     "WILD read: tag says the word is not a pointer",
                     frame.fundec.name)
         elif c.kind is K.STORE_STACK_PTR:
-            pass  # enforced at the store itself; charged here
+            pass  # enforced at the store itself; counted here
         elif c.kind is K.RTTI_CAST:
             v = self._ptr_arg(c, frame)
             if v.is_null:
@@ -1175,7 +1161,7 @@ class Interpreter:
     def _read_mem(self, addr: int, t: T.CType) -> object:
         u = T.unroll(t)
         size = self._sizeof(u)
-        self.cost.charge_mem(size)
+        self.cost.words += mem_words(size)
         if self.shadow is not None:
             self.shadow.on_read(addr, size)
         if isinstance(u, (T.TInt, T.TEnum)):
@@ -1184,7 +1170,7 @@ class Interpreter:
         if isinstance(u, T.TFloat):
             return self.mem.read_float(addr, size)
         if isinstance(u, T.TPtr):
-            self._charge_ptr_slot(u)
+            self._count_ptr_slot(u)
             value, meta = self.mem.read_ptr(addr)
             if (meta is None and value != 0 and self.cured
                     and u.node is not None and u.node.split):
@@ -1196,7 +1182,7 @@ class Interpreter:
                 home = self.mem.home_of(value)
                 if home is not None:
                     meta = PtrMeta(b=home.base, e=home.end)
-                    self.cost.charge(4, "split:manufacture")
+                    self.cost.events["manufacture"] += 1
             return PtrVal.from_meta(value, meta)
         if isinstance(u, (T.TComp, T.TArray)):
             data = self.mem.read_raw(addr, size)
@@ -1212,7 +1198,7 @@ class Interpreter:
     def _write_mem(self, addr: int, t: T.CType, value: object) -> None:
         u = T.unroll(t)
         size = self._sizeof(u)
-        self.cost.charge_mem(size)
+        self.cost.words += mem_words(size)
         if self.shadow is not None:
             self.shadow.on_write(addr, size)
         if isinstance(u, (T.TInt, T.TEnum)):
@@ -1222,7 +1208,7 @@ class Interpreter:
             self.mem.write_float(addr, self._to_float(value), size)
             return
         if isinstance(u, T.TPtr):
-            self._charge_ptr_slot(u, store=True)
+            self._count_ptr_slot(u, store=True)
             v = value if isinstance(value, PtrVal) else PtrVal(
                 self._to_int(value))
             meta = v.meta()
@@ -1248,14 +1234,15 @@ class Interpreter:
                 return
         raise MemorySafetyError(f"cannot write type {t!r}")
 
-    def _charge_ptr_slot(self, u: T.TPtr, store: bool = False) -> None:
-        """Charge the representation cost of moving this pointer slot:
-        wide kinds move extra words (interleaved) or do a parallel
-        metadata access (split)."""
+    def _count_ptr_slot(self, u: T.TPtr, store: bool = False) -> None:
+        """Count the representation events of moving this pointer
+        slot: wide kinds move extra words (interleaved) or do parallel
+        metadata accesses (split)."""
         node = u.node
         if node is None or not self.cured:
             return
         kind = node.kind
+        events = self.cost.events
         if node.split:
             # Split representation: the pointer's own metadata (b/e
             # for SEQ, the type word for RTTI) lives in the *parallel*
@@ -1271,11 +1258,11 @@ class Interpreter:
             if node.has_meta:
                 ops += 1  # the m link to the base type's metadata
             if ops:
-                self.cost.charge_split(ops)
-        else:
-            self.cost.charge_wide(kind.name)
+                events["split"] += ops
+        elif kind is not PointerKind.SAFE:
+            events["wide:" + kind.name] += 1
         if store and kind is PointerKind.WILD:
-            self.cost.charge(COST_WILD_TAG_UPDATE, "wild-tag")
+            events["wild_tag"] += 1
 
     # ------------------------------------------------------------------
     # Expressions
@@ -1417,7 +1404,7 @@ class Interpreter:
         return PtrVal(addr, b=addr, e=end)
 
     def _eval_unop(self, e: E.UnOp, frame: Optional[Frame]) -> object:
-        self.cost.cycles += 1  # COST_EVAL_OP
+        self.cost.ops += 1
         v = self.eval(e.e, frame)
         if e.op is E.UnopKind.LNOT:
             return 0 if self._truthy(v) else 1
@@ -1430,7 +1417,7 @@ class Interpreter:
         return self._wrap_to(out, e.type())
 
     def _eval_binop(self, e: E.BinOp, frame: Optional[Frame]) -> object:
-        self.cost.cycles += 1  # COST_EVAL_OP
+        self.cost.ops += 1
         op = e.op
         v1 = self.eval(e.e1, frame)
         v2 = self.eval(e.e2, frame)
@@ -1492,7 +1479,7 @@ class Interpreter:
         return int(_CMP_OPS[op](x, y))
 
     def _eval_cast(self, e: E.CastE, frame: Optional[Frame]) -> object:
-        self.cost.cycles += 1  # COST_EVAL_OP
+        self.cost.ops += 1
         v = self.eval(e.e, frame)
         target = T.unroll(e.t)
         if isinstance(target, (T.TInt, T.TEnum)):
@@ -1707,7 +1694,7 @@ def run_cured(cured: CuredProgram,
 def run_raw(prog: Program,
             args: Optional[Sequence[str]] = None,
             stdin: str = "",
-            shadow: Optional[object] = None,
+            shadow: Optional["ShadowChecker"] = None,
             max_steps: int = 50_000_000,
             engine: str = "closures",
             stdout_limit: int = 4_000_000,
@@ -1719,6 +1706,4 @@ def run_raw(prog: Program,
                      max_steps=max_steps, engine=engine,
                      stdout_limit=stdout_limit, deadline=deadline,
                      reuse_freed=reuse_freed)
-    if shadow is not None:
-        shadow.attach(ip)
     return ip.run(args)

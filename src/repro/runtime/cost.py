@@ -1,12 +1,17 @@
-"""The deterministic cost model.
+"""The deterministic cost model: event counts and the one price list.
 
 The paper measures wall-clock slowdowns of gcc-compiled binaries; our
 substrate is an interpreter, so absolute times are meaningless.
-Instead every abstract machine operation is charged a deterministic
-cost in "cycles", calibrated to the published per-operation costs of
-each tool:
+Instead a run *counts* its abstract machine events by category — the
+engines, the modelled C library and the shadow tools each record an
+event once, as a count — and this module alone prices them.  A run's
+``cycles`` is the dot product of its count vector with the price row
+of the tool it ran under: :data:`PRICES`, plus the tool's extra
+prices in :data:`TOOL_PRICES`.  The prices are calibrated to the
+published per-operation costs of each tool:
 
-* plain execution: 1 per instruction, 1 per memory word touched;
+* plain execution: 1 per instruction, branch test and operator, 1 per
+  memory word touched, plus library-call and I/O latency;
 * CCured: the check costs below (a null check is one compare; a SEQ
   bounds check is two compares; WILD adds tag manipulation) plus the
   extra words that wide representations move (Figure 1: SEQ pointers
@@ -19,114 +24,152 @@ each tool:
   dilation) and maintains 9 shadow bits per byte, yielding 9–130x.
 
 Because the model is deterministic, benchmark ratios are reproducible
-to the cycle; pytest-benchmark additionally reports wall-clock time of
-the interpreter itself.
+to the cycle, and re-pricing a run needs only its counts;
+pytest-benchmark additionally reports wall-clock time of the
+interpreter itself.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from repro.cil.stmt import CheckKind
-
-#: cycles per executed CIL instruction (the "1.0x" baseline).
-COST_INSTR = 1
-#: cycles per evaluated operator (binop/unop/cast) — expressions
-#: decompose into several machine ops, which keeps the baseline honest
-#: relative to per-check costs.
-COST_EVAL_OP = 1
-#: cycles per word read/written from memory.
-COST_MEM_WORD = 1
-
-#: cycles per CCured run-time check.
-CHECK_COSTS: dict[CheckKind, int] = {
-    CheckKind.NULL: 1,
-    CheckKind.SEQ_BOUNDS: 3,
-    CheckKind.FSEQ_BOUNDS: 2,
-    CheckKind.SEQ_TO_SAFE: 3,
-    CheckKind.SAFE_TO_SEQ: 1,
-    CheckKind.WILD_BOUNDS: 6,
-    CheckKind.WILD_READ_TAG: 5,
-    CheckKind.STORE_STACK_PTR: 2,
-    CheckKind.RTTI_CAST: 4,
-    CheckKind.FUNPTR: 1,
-    CheckKind.VERIFY_NUL: 8,
-    CheckKind.VERIFY_SIZE: 2,
-    CheckKind.INDEX: 2,
+#: cycles per counted event in a bare or cured run.  Every category a
+#: run counts has a price here; reading ``cycles`` raises on one that
+#: has none.
+PRICES: dict[str, int] = {
+    # -- plain execution ----------------------------------------------
+    "instr": 1,        # an executed Set, Call or Check instruction
+    "branch": 1,       # an If test
+    # a unary or binary operator, or a cast: expressions decompose
+    # into several machine ops, which keeps the baseline honest
+    # relative to per-check costs
+    "op": 1,
+    "mem_word": 1,     # a word read from or written to memory
+    "libcall": 4,      # a call into the modelled C library
+    # simulated kernel/device/wire latency per I/O operation, plus one
+    # cycle per four bytes it moves.  CCured's checks do not slow the
+    # kernel down, so cured runs pay the same latency as raw runs:
+    # that is why the paper's I/O-bound subjects (ftpd, the Apache
+    # modules, the drivers) measure ~1.0x.
+    "io": 1500,
+    "io_quarter": 1,
+    # -- CCured's representations -------------------------------------
+    # extra words moved with a wide pointer (Figure 1): SEQ = +2 (b,
+    # e), FSEQ = +1 (e), WILD = +1 (b) + the tag word, RTTI = +1 (t)
+    "wide:SEQ": 2,
+    "wide:FSEQ": 1,
+    "wide:WILD": 2,
+    "wide:RTTI": 1,
+    # a split-metadata operation: unlike the interleaved layout's
+    # adjacent words, the parallel structure is a separate dereference
+    # (and in compiled code a separate cache line)
+    "split": 2,
+    "wild_tag": 4,     # the tag update of a WILD pointer store
+    # split metadata made from the allocator's extent for a pointer a
+    # library wrote (Section 4.2)
+    "manufacture": 4,
+    # -- CCured's run-time checks -------------------------------------
+    "check:CHECK_NULL": 1,
+    "check:CHECK_SEQ_BOUNDS": 3,
+    "check:CHECK_FSEQ_BOUNDS": 2,
+    "check:CHECK_SEQ_TO_SAFE": 3,
+    "check:CHECK_SAFE_TO_SEQ": 1,
+    "check:CHECK_WILD_BOUNDS": 6,
+    "check:CHECK_WILD_READ_TAG": 5,
+    "check:CHECK_STORE_STACK_PTR": 2,
+    "check:CHECK_RTTI_CAST": 4,
+    "check:CHECK_FUNPTR": 1,
+    "check:CHECK_VERIFY_NUL": 8,
+    "check:CHECK_VERIFY_SIZE": 2,
+    "check:CHECK_INDEX": 2,
     # temporal lock-and-key validation: one lock-table load + compare
-    CheckKind.ALIVE: 2,
+    "check:CHECK_ALIVE": 2,
+    # -- shadow-tool events: free here, priced by TOOL_PRICES ----------
+    "shadow_access": 0,      # a memory access the tool checks
+    "shadow_byte": 0,        # per byte of that access
+    "shadow_alloc": 0,       # a heap allocation the tool tracks
+    "shadow_alloc_byte": 0,  # per byte allocated
+    "shadow_free": 0,        # a free the tool tracks
 }
 
-#: extra words moved when loading/storing a wide pointer (Figure 1):
-#: SEQ = +2 (b, e), WILD = +1 (b) + tag word, RTTI = +1 (t).
-WIDE_EXTRA_WORDS = {"SEQ": 2, "FSEQ": 1, "WILD": 2, "RTTI": 1,
-                    "SAFE": 0}
-#: extra cost per split-metadata operation: unlike the interleaved
-#: layout's adjacent words, the parallel structure is a separate
-#: dereference (and in compiled code a separate cache line).
-COST_SPLIT_META = 2
-#: tag update on a WILD store.
-COST_WILD_TAG_UPDATE = 4
 
-# -- baseline tools ---------------------------------------------------------
+def _io_dilation(factor: int) -> dict[str, int]:
+    """Extra prices for a tool whose I/O path runs ``factor`` times
+    slower than the bare one."""
+    return {"io": (factor - 1) * PRICES["io"],
+            "io_quarter": (factor - 1) * PRICES["io_quarter"]}
 
-#: Purify: instrumented call into the runtime per memory access, plus
-#: shadow bit maintenance per byte.
-PURIFY_ACCESS_OVERHEAD = 150
-PURIFY_PER_BYTE = 3
-PURIFY_ALLOC_OVERHEAD = 400  # red-zone painting
 
-#: Valgrind: JIT dispatch multiplies every instruction; shadow V-bits
-#: are maintained per byte on every access.
-VALGRIND_INSTR_DILATION = 9
-VALGRIND_ACCESS_OVERHEAD = 60
-VALGRIND_PER_BYTE = 6
-VALGRIND_ALLOC_OVERHEAD = 250
+#: extra cycles per counted event under each shadow tool (by its
+#: ``name``); a tool with no row pays the bare prices.
+TOOL_PRICES: dict[str, dict[str, int]] = {
+    # an instrumented call into the runtime per memory access, shadow
+    # bit maintenance per byte, red-zone painting per allocation; the
+    # I/O path goes through its intercepting wrappers
+    "purify": {"shadow_access": 150, "shadow_byte": 3,
+               "shadow_alloc": 400, "shadow_alloc_byte": 3,
+               "shadow_free": 400, **_io_dilation(5)},
+    # JIT dispatch multiplies every Set, Call and Check instruction
+    # (x9); If tests are not dilated.  Shadow V-bits are maintained
+    # per byte on every access.  Everything, the user-side I/O path
+    # included, runs under the JIT (ftpd under Valgrind: 9.42x in
+    # Figure 9).
+    "valgrind": {"instr": 8, "shadow_access": 60, "shadow_byte": 6,
+                 "shadow_alloc": 250, "shadow_alloc_byte": 6,
+                 "shadow_free": 250, **_io_dilation(9)},
+}
+
+
+def price_row(tool: str = "") -> dict[str, int]:
+    """The price of every event category under ``tool`` ("" for a
+    bare or cured run)."""
+    extra = TOOL_PRICES.get(tool, {})
+    return {k: p + extra.get(k, 0) for k, p in PRICES.items()}
 
 
 def mem_words(nbytes: int) -> int:
-    """Words charged for an ``nbytes`` memory access (fast-path helper:
-    the closure engine folds this into each compiled load/store)."""
+    """Words counted for an ``nbytes`` memory access (the closure
+    engine folds this into each compiled load/store)."""
     return ((nbytes + 3) >> 2) or 1
 
 
 class CostModel:
-    """Accumulates cycles and per-event counts during interpretation.
+    """The event counts of one run, priced when ``cycles`` is read.
 
-    The per-instruction and per-memory-access paths are the hottest
-    code in the interpreter, so they use plain integer fields; only
-    lower-frequency events (checks, wide moves, tool overheads) keep
-    named counters.
+    Instructions, branch tests, operators and memory words are the
+    hottest events in the interpreter, so they are plain integer
+    fields; every other category is a key of ``events``.
     """
 
-    __slots__ = ("cycles", "instrs", "mems", "wides", "splits",
+    __slots__ = ("tool", "instrs", "branches", "ops", "words",
                  "events")
 
-    def __init__(self) -> None:
-        self.cycles = 0
+    def __init__(self, tool: str = "") -> None:
+        #: the shadow tool the run is priced for ("" for none)
+        self.tool = tool
         self.instrs = 0
-        self.mems = 0
-        self.wides = 0
-        self.splits = 0
+        self.branches = 0
+        self.ops = 0
+        self.words = 0
         self.events: Counter[str] = Counter()
 
-    def charge(self, cycles: int, event: str = "",
-               count: int = 1) -> None:
-        self.cycles += cycles
-        if event:
-            self.events[event] += count
+    def counts(self) -> dict[str, int]:
+        """The count vector: every category with a nonzero count, in
+        name order."""
+        out = dict(self.events)
+        out.update(instr=self.instrs, branch=self.branches, op=self.ops,
+                   mem_word=self.words)
+        return {k: n for k, n in sorted(out.items()) if n}
 
-    def charge_instr(self) -> None:
-        self.cycles += COST_INSTR
-        self.instrs += 1
+    def priced(self) -> dict[str, int]:
+        """Cycles per counted category, priced with the tool's row."""
+        row = price_row(self.tool)
+        return {k: row[k] * n for k, n in self.counts().items()}
 
-    def charge_mem(self, nbytes: int) -> None:
-        self.cycles += COST_MEM_WORD * mem_words(nbytes)
-        self.mems += 1
-
-    def charge_check(self, kind: CheckKind) -> None:
-        self.cycles += CHECK_COSTS.get(kind, 1)
-        self.events[f"check:{kind.value}"] += 1
+    @property
+    def cycles(self) -> int:
+        """The count vector priced with the tool's row."""
+        return sum(self.priced().values())
 
     def check_events(self) -> Counter:
         """Executed run-time checks by kind (the dynamic counterpart
@@ -140,33 +183,3 @@ class CostModel:
         """Total run-time checks actually executed."""
         return sum(v for k, v in self.events.items()
                    if k.startswith("check:"))
-
-    def charge_wide(self, kind_name: str) -> None:
-        extra = WIDE_EXTRA_WORDS.get(kind_name, 0)
-        if extra:
-            self.cycles += extra * COST_MEM_WORD
-            self.wides += 1
-
-    def charge_split(self, n_ops: int = 1) -> None:
-        self.cycles += COST_SPLIT_META * n_ops
-        self.splits += n_ops
-
-    @property
-    def total(self) -> int:
-        return self.cycles
-
-    def all_events(self) -> Counter:
-        """Named events merged with the hot counters."""
-        out = Counter(self.events)
-        out["instr"] = self.instrs
-        out["mem"] = self.mems
-        if self.wides:
-            out["wide"] = self.wides
-        if self.splits:
-            out["split"] = self.splits
-        return out
-
-    def summary(self) -> str:
-        top = ", ".join(f"{k}={v}" for k, v in
-                        self.all_events().most_common(8))
-        return f"{self.cycles} cycles ({top})"

@@ -455,15 +455,13 @@ def _format(ip, fmt: str, args: list[object]) -> str:
     return "".join(out)
 
 
-#: Simulated kernel/device latency per I/O operation, in cycles.
-#: Calibrated so that I/O-bound subjects reproduce the paper's ~1.0x
-#: CCured ratios while Valgrind's dilation keeps them near ~10x.
-IO_FLAT = 1500
-IO_PER_BYTE_SHIFT = 2  # + n/4 cycles per byte moved
-
-
 def _io(ip, nbytes: int = 0) -> None:
-    ip.io_charge(IO_FLAT + (nbytes >> IO_PER_BYTE_SHIFT))
+    """Count one I/O operation and the whole quarter-words (4-byte
+    units) it moves: cost.py prices the simulated kernel/device
+    latency, and dilates it under a shadow tool."""
+    events = ip.cost.events
+    events["io"] += 1
+    events["io_quarter"] += nbytes >> 2
 
 
 @builtin("printf")

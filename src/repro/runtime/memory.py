@@ -404,12 +404,6 @@ class Memory:
         h = self.home_of(addr)
         return h is not None and (addr - h.base) in h.meta
 
-    # -- statistics ----------------------------------------------------------
-
-    def live_heap_bytes(self) -> int:
-        return sum(h.size for h in self._homes
-                   if h.region == "heap" and h.alive)
-
     def __repr__(self) -> str:
         return (f"<memory: {self.allocations} allocations, "
                 f"{self.bytes_allocated} bytes>")

@@ -9,7 +9,9 @@ from repro.bench import (BenchRow, ToolRun, aggregate_census,
                          figure8_table, figure9_table, overhead_table,
                          run_workload)
 from repro.cil.stmt import CheckKind
-from repro.runtime.cost import CostModel
+from repro.interp import ENGINES
+from repro.runtime.cost import (PRICES, TOOL_PRICES, CostModel,
+                                mem_words, price_row)
 from repro.workloads import get
 
 
@@ -179,40 +181,118 @@ class TestHarness:
             _assert_same_behaviour("w", a, b)
 
 
+#: a heap array walked with SEQ pointers, freed, and printed
+REPRICE_SRC = r"""
+#include <stdio.h>
+#include <stdlib.h>
+int main(void) {
+  int *a = (int *)malloc(8 * sizeof(int));
+  int i, s = 0;
+  for (i = 0; i < 8; i++) a[i] = i * i;
+  for (i = 0; i < 8; i++) s += a[i];
+  free(a);
+  printf("%d\n", s);
+  return 0;
+}
+"""
+
+
+def _reprice_run(run, engine):
+    """One run of the re-pricing set; together they count every kind
+    of event but a few checks: shadow accesses, allocations and frees
+    (the tools), wide SEQ moves (cured), split metadata and its
+    manufacture (ftpd, all split), WILD moves and tag updates
+    (olden_power without RTTI)."""
+    from repro.baselines import PurifyChecker, ValgrindChecker
+    from repro.bench import pristine_cure
+    from repro.core import CureOptions, cure
+    from repro.frontend import parse_program
+    from repro.interp import run_cured, run_raw
+
+    if run in ("raw", "purify", "valgrind"):
+        shadow = {"raw": None, "purify": PurifyChecker,
+                  "valgrind": ValgrindChecker}[run]
+        return run_raw(parse_program(REPRICE_SRC, "rp"), engine=engine,
+                       shadow=shadow() if shadow else None)
+    if run == "cured":
+        return run_cured(cure(REPRICE_SRC, name="rp"), engine=engine)
+    name, flags = {"all_split": ("ftpd", {"all_split": True}),
+                   "no_rtti": ("olden_power", {"use_rtti": False})}[run]
+    w = get(name)
+    cured = pristine_cure(w, CureOptions(**flags), scale=2)
+    return run_cured(cured, args=list(w.args) or None, stdin=w.stdin,
+                     engine=engine)
+
+
 class TestCostModel:
+    """The price list: runs count events, and ``cost.py`` alone turns
+    the counts into cycles."""
+
     def test_basic_charges(self):
+        # an instruction costs 1; a 4-byte access is 1 word, 8 bytes 2
         c = CostModel()
-        c.charge_instr()
-        c.charge_mem(4)
-        c.charge_mem(8)
-        assert c.instrs == 1 and c.mems == 2
+        c.instrs += 1
+        c.words += mem_words(4) + mem_words(8)
+        assert (mem_words(4), mem_words(8)) == (1, 2)
+        assert c.counts() == {"instr": 1, "mem_word": 3}
         assert c.cycles == 1 + 1 + 2
 
     def test_check_charges_tracked(self):
         c = CostModel()
-        c.charge_check(CheckKind.SEQ_BOUNDS)
-        c.charge_check(CheckKind.SEQ_BOUNDS)
-        assert c.events["check:CHECK_SEQ_BOUNDS"] == 2
+        c.events["check:CHECK_SEQ_BOUNDS"] += 2
+        assert c.check_events() == {"CHECK_SEQ_BOUNDS": 2}
+        assert c.checks_executed() == 2
+        assert c.cycles == 2 * PRICES["check:CHECK_SEQ_BOUNDS"]
 
     def test_wide_charges(self):
         c = CostModel()
-        c.charge_wide("SEQ")
-        assert c.cycles == 2
-        c.charge_wide("SAFE")
-        assert c.cycles == 2  # SAFE is one word: free
-
-    def test_summary_mentions_top_events(self):
-        c = CostModel()
-        for _ in range(5):
-            c.charge_instr()
-        assert "instr=5" in c.summary()
+        c.events["wide:SEQ"] += 1
+        assert c.cycles == 2  # SEQ moves two extra words (b, e)
+        assert "wide:SAFE" not in PRICES  # SAFE is one word: free
 
     def test_all_events_merges(self):
+        # the count vector merges the hot counters with named events
         c = CostModel()
-        c.charge_instr()
-        c.charge_split(3)
-        ev = c.all_events()
-        assert ev["instr"] == 1 and ev["split"] == 3
+        c.instrs += 1
+        c.events["split"] += 3
+        assert c.counts() == {"instr": 1, "split": 3}
+
+    def test_every_check_kind_is_priced(self):
+        assert all(f"check:{k.value}" in PRICES for k in CheckKind)
+
+    def test_an_unpriced_count_raises(self):
+        c = CostModel()
+        c.events["no-such-event"] += 1
+        with pytest.raises(KeyError):
+            c.cycles
+
+    def test_tool_row_adds_to_the_base_prices(self):
+        c = CostModel("valgrind")
+        c.instrs += 1
+        c.branches += 1
+        # the JIT dilates instructions, not If tests
+        assert c.cycles == 9 + 1
+        assert price_row("no-such-tool") == PRICES
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("run", ("raw", "purify", "valgrind",
+                                     "cured", "all_split", "no_rtti"))
+    def test_repricing_changes_cycles_not_counts(self, run, engine,
+                                                 monkeypatch):
+        before = _reprice_run(run, engine)
+        before_cycles = before.cycles  # priced when read
+        for k, p in list(PRICES.items()):
+            monkeypatch.setitem(PRICES, k, p + 1)
+        for row in TOOL_PRICES.values():
+            for k, p in list(row.items()):
+                monkeypatch.setitem(row, k, p + 1)
+        after = _reprice_run(run, engine)
+        counts = after.cost.counts()
+        assert counts == before.cost.counts()
+        extra = TOOL_PRICES.get(after.cost.tool, {})
+        assert after.cycles == sum(
+            (PRICES[k] + extra.get(k, 0)) * n for k, n in counts.items())
+        assert after.cycles > before_cycles
 
 
 class TestTrajectory:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import SAFETY_EXIT, main
+from repro.cli import LIMIT_EXIT, REJECT_EXIT, SAFETY_EXIT, main
 
 HELLO = r'''
 #include <stdio.h>
@@ -79,6 +79,52 @@ class TestRun:
         p = tmp_path / "seven.c"
         p.write_text("int main(void) { return 7; }")
         assert main(["run", str(p)]) == 7
+
+
+class TestBadInput:
+    """Rejected input ends in one stderr line and a documented exit
+    code, never a traceback."""
+
+    def _write(self, tmp_path, name, text):
+        p = tmp_path / name
+        p.write_text(text)
+        return str(p)
+
+    @pytest.mark.parametrize("command", ("run", "cure", "lint",
+                                         "analyze", "explain"))
+    def test_unsupported_construct(self, tmp_path, capsys, command):
+        path = self._write(tmp_path, "g.c", "int main(void) {\n"
+                           "  goto out;\nout:\n  return 0;\n}\n")
+        assert main([command, path]) == REJECT_EXIT
+        err = capsys.readouterr().err
+        assert err == f"{path}:2:3: goto/labels\n"
+
+    def test_syntax_error(self, tmp_path, capsys):
+        path = self._write(tmp_path, "bad.c", "int main(void) {\n"
+                           "  int x = 1\n  return x;\n}\n")
+        assert main(["run", path]) == REJECT_EXIT
+        assert capsys.readouterr().err == f"{path}:3:3: before: return\n"
+
+    def test_syntax_error_without_a_line(self, tmp_path, capsys):
+        # the parser gives no line for this one: the file still leads
+        path = self._write(tmp_path, "bad.c",
+                           "int main(void) {\n  int x = ;\n}\n")
+        assert main(["run", path]) == REJECT_EXIT
+        err = capsys.readouterr().err
+        assert err.startswith(f"{path}: ") and err.count("\n") == 1
+
+    def test_step_budget(self, tmp_path, capsys, monkeypatch):
+        import functools
+
+        import repro.cli as cli
+        # a small budget keeps the endless loop short
+        monkeypatch.setattr(cli, "run_cured", functools.partial(
+            cli.run_cured, max_steps=1000))
+        path = self._write(tmp_path, "loop.c", "int main(void) {\n"
+                           "  while (1) {}\n  return 0;\n}\n")
+        assert main(["run", path]) == LIMIT_EXIT
+        assert capsys.readouterr().err == (
+            "[InterpreterLimitError] step budget exceeded\n")
 
 
 class TestAnalyze:

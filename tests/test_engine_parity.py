@@ -3,20 +3,22 @@ bit-identical to the tree-walking oracle.
 
 Every workload in the suite runs under both engines, cured and raw,
 and the observable machine state — exit status, stdout, deterministic
-cycle count, step count — must match exactly.  This is what licenses
-using the fast engine for the paper's measurements: any divergence in
-charges, evaluation order or error behaviour shows up as a cycle or
-output mismatch here.
+cycle count, step count and the whole count vector the cycles are
+priced from — must match exactly.  This is what licenses using the
+fast engine for the paper's measurements: any divergence in counts,
+evaluation order or error behaviour shows up as a count or output
+mismatch here, in the category where it happened.
 """
 
 import pytest
 
+from repro.baselines import PurifyChecker, ValgrindChecker
 from repro.bench import pristine_cure, pristine_parse
 from repro.core import cure
 from repro.frontend import parse_program
 from repro.interp import Interpreter
 from repro.runtime.checks import InterpreterLimitError
-from repro.workloads import all_workloads
+from repro.workloads import all_workloads, get
 
 #: small deterministic problem size: parity does not depend on scale,
 #: and the whole suite × 2 modes × 2 engines must stay cheap.
@@ -25,7 +27,8 @@ SCALE = 2
 
 def _signature(ip, args):
     res = ip.run(args)
-    return (res.status, res.stdout, res.cost.cycles, res.steps)
+    return (res.status, res.stdout, res.cost.cycles, res.steps,
+            res.cost.counts())
 
 
 @pytest.mark.parametrize("w", all_workloads(), ids=lambda w: w.name)
@@ -39,9 +42,9 @@ def test_raw_parity(w):
     assert tree == clos, (
         f"{w.name}: raw closures diverged from tree oracle\n"
         f"  tree:     status={tree[0]} cycles={tree[2]} "
-        f"steps={tree[3]}\n"
+        f"steps={tree[3]} counts={tree[4]}\n"
         f"  closures: status={clos[0]} cycles={clos[2]} "
-        f"steps={clos[3]}")
+        f"steps={clos[3]} counts={clos[4]}")
 
 
 @pytest.mark.parametrize("w", all_workloads(), ids=lambda w: w.name)
@@ -57,9 +60,9 @@ def test_cured_parity(w):
     assert tree == clos, (
         f"{w.name}: cured closures diverged from tree oracle\n"
         f"  tree:     status={tree[0]} cycles={tree[2]} "
-        f"steps={tree[3]}\n"
+        f"steps={tree[3]} counts={tree[4]}\n"
         f"  closures: status={clos[0]} cycles={clos[2]} "
-        f"steps={clos[3]}")
+        f"steps={clos[3]} counts={clos[4]}")
 
 
 @pytest.mark.parametrize("w", all_workloads(), ids=lambda w: w.name)
@@ -83,9 +86,9 @@ def test_temporal_reuse_parity(w):
     assert tree == clos, (
         f"{w.name}: temporal+reuse closures diverged from tree\n"
         f"  tree:     status={tree[0]} cycles={tree[2]} "
-        f"steps={tree[3]}\n"
+        f"steps={tree[3]} counts={tree[4]}\n"
         f"  closures: status={clos[0]} cycles={clos[2]} "
-        f"steps={clos[3]}")
+        f"steps={clos[3]} counts={clos[4]}")
     # the recycling allocator is invisible to a correct program:
     # status and stdout match the never-reuse temporal run
     plain = _signature(
@@ -96,9 +99,33 @@ def test_temporal_reuse_parity(w):
         f"observable behaviour")
 
 
+#: the cheapest suite programs under a shadow tool on the tree walker
+SHADOW_PARITY = ("ftpd", "openssh_like", "sendmail_like", "bind_like",
+                 "olden_treeadd", "olden_power", "spec_ijpeg", "spec_li")
+
+
+@pytest.mark.parametrize("tool", (PurifyChecker, ValgrindChecker),
+                         ids=lambda t: t.name)
+@pytest.mark.parametrize("name", SHADOW_PARITY)
+def test_shadow_parity(name, tool):
+    """The raw run under Purify or Valgrind: the shadow hooks see
+    the same accesses, allocations and frees on both engines."""
+    w = get(name)
+    prog = pristine_parse(w, SCALE)
+    args = list(w.args) or None
+    tree = _signature(Interpreter(prog, stdin=w.stdin, engine="tree",
+                                  shadow=tool()), args)
+    clos = _signature(Interpreter(prog, stdin=w.stdin,
+                                  engine="closures", shadow=tool()),
+                      args)
+    assert tree == clos, (
+        f"{name} under {tool.name}: engines diverged\n"
+        f"  tree:     {tree[2:]}\n  closures: {clos[2:]}")
+
+
 # ---------------------------------------------------------------------------
 # Control flow: the closure engine returns break/continue/return signals
-# where the tree walker raises; each shape must charge identically.
+# where the tree walker raises; each shape must count identically.
 # ---------------------------------------------------------------------------
 
 #: name -> (source, expected stdout)
@@ -215,7 +242,7 @@ def test_control_flow_parity(name, mode):
     for engine in ("closures", "tree"):
         res = _control_flow_run(src, mode, engine).run()
         sigs.append((res.status, res.stdout, res.steps, res.cycles,
-                     res.checks_executed))
+                     res.checks_executed, res.cost.counts()))
     assert sigs[0] == sigs[1], f"{name} ({mode}): {sigs}"
     assert sigs[0][:2] == (0, expected)
 
@@ -228,6 +255,7 @@ def test_step_budget_trap_mid_loop(mode):
         ip = _control_flow_run(src, mode, engine, max_steps=50)
         with pytest.raises(InterpreterLimitError):
             ip.run()
-        at.append((ip.steps, ip.cost.cycles, ip.stdout_text()))
+        at.append((ip.steps, ip.cost.cycles, ip.cost.counts(),
+                   ip.stdout_text()))
     assert at[0] == at[1]
     assert at[0][0] == 51  # one past the budget, in the loop (76 in all)
