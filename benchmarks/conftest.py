@@ -7,6 +7,20 @@ measured runs.  Heavy measurements are cached at module scope so a
 table's rows are computed once per session.
 """
 
+import pytest
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _hermetic_cure_cache(tmp_path_factory):
+    """Point the on-disk cure cache at a per-session temp directory,
+    so the tables never read (or pollute) the developer's warm cache
+    and every run starts from a cold one."""
+    import os
+    if "REPRO_CACHE_DIR" not in os.environ:
+        os.environ["REPRO_CACHE_DIR"] = str(
+            tmp_path_factory.mktemp("cure-cache"))
+    yield
+
 
 def pytest_configure(config):
     # keep benchmark runs single-shot: the measurements themselves are

@@ -28,8 +28,9 @@ All measurements are deterministic (the cost model is exact), so the
 memo also holds whole *measurements*: a run keyed by
 :func:`_result_key` (the engine and the check-elimination level are
 always explicit) yields the same ``(cycles, status, steps, stdout,
-checks)`` every time, and repeat requests across table tests are
-answered without re-interpreting the program.  Executions run on the
+checks, counts)`` every time, and repeat requests across table tests
+(or a re-pricing of the count vector) are answered without
+re-interpreting the program.  Executions run on the
 pristine trees — interpretation never mutates the IR (the
 interpreter only stamps idempotent per-``Varinfo``/type caches), so
 no defensive copy is needed for a measurement, and the closure
@@ -67,6 +68,9 @@ class ToolRun:
     stdout: str = ""
     #: run-time checks actually executed (0 for raw/baseline runs)
     checks: int = 0
+    #: the run's count vector (``CostModel.counts()``): ``cycles`` is
+    #: its dot product with the tool's ``price_row``
+    counts: dict[str, int] = field(default_factory=dict)
 
     def ratio(self, base: "ToolRun") -> float:
         """Cycle ratio against ``base``; NaN when the base run did no
@@ -239,10 +243,10 @@ def _result_key(w: Workload, scale: Optional[int], engine: str,
 def _measure(key: tuple, tool: str,
              runner: Callable[[], ExecResult]) -> ToolRun:
     """A memoized measurement; ``runner`` executes on a memo miss."""
-    def run() -> tuple[int, int, int, str, int]:
+    def run() -> tuple[int, int, int, str, int, dict[str, int]]:
         res = runner()
         return (res.cycles, res.status, res.steps, res.stdout,
-                res.checks_executed)
+                res.checks_executed, res.cost.counts())
     return ToolRun(tool, *_memo(key, run))
 
 

@@ -20,15 +20,20 @@ expression.  Everything static is resolved at compile time:
 * check kinds (one specialized closure per ``Check`` instruction).
 
 For the hottest node shapes the compiler goes one step further and
-*generates Python source* for the whole statement — operand fetches
-(``f.regs[vid]`` for register variables, the literal for constants),
+*generates Python source* for the whole statement — the step count,
+operand fetches (``f.regs[vid]`` for register variables, the literal
+for constants), comparisons, ``!`` and wrapping integer operators,
 store coercion, home lookup, constant offsets and the typed memory
 access are all fused into a single ``exec``-compiled function, so a
 ``x = y + z`` statement executes as one Python frame instead of six
-nested closure calls.  Generated sources keep all varying quantities
-(vids, masks, sizes) in the function's globals, so the small set of
-distinct source *shapes* hits a module-level code-object cache and
-compilation stays cheap.
+nested closure calls.  A multi-instruction statement is one fragment
+that counts its step and calls each instruction's fragment.  A load
+or store through a variable decodes in place in the home the fragment
+already holds, and only an access that leaves the home goes through
+:class:`~repro.runtime.memory.Memory`.  Generated sources keep all
+varying quantities (vids, masks, sizes) in the function's globals, so
+the small set of distinct source *shapes* hits a module-level
+code-object cache and compilation stays cheap.
 
 Control flow travels as return values, not exceptions.  A statement
 runner returns ``None`` to fall through, the ``_BREAK`` or
@@ -76,7 +81,9 @@ from repro.runtime.checks import (BoundsError, DanglingPointerError,
                                   NullDereferenceError, ProgramAbort,
                                   WildTagError)
 from repro.runtime.cost import mem_words
-from repro.runtime.memory import PtrMeta
+from repro.runtime.memory import (_LOAD_S, _LOAD_U, _LOAD_U32, _MASK,
+                                  _STORE, _STORE_U32, PtrMeta,
+                                  _clear_meta)
 from repro.runtime.values import PtrVal
 
 from repro.interp.interp import (_CMP_OPS, _FLOAT_OPS, _INT_OPS,
@@ -124,6 +131,16 @@ def _indent(code: str) -> str:
                    for line in code.splitlines(keepends=True))
 
 
+def _in_home(size: str, fast: str, slow: str) -> str:
+    """Source lines running ``fast`` when ``[addr, addr + size)`` lies
+    inside the variable's home ``h`` (its offset bound to ``off``) and
+    ``slow`` — the ``Memory`` call, which traps or spills into the
+    neighbouring home like hardware — otherwise."""
+    return ("    off = addr - h.base\n"
+            f"    if 0 <= off <= h.size - {size}:\n"
+            + _indent(fast) + "    else:\n" + _indent(slow))
+
+
 def _gen(src: str, env: dict) -> Callable:
     code = _CODE_CACHE.get(src)
     if code is None:
@@ -134,16 +151,16 @@ def _gen(src: str, env: dict) -> Callable:
     return ns["run"]
 
 
-#: per-instruction count prologue shared by Set/Call/Check sources
-_INSTR_HEAD = (
-    "def run(ip, f):\n"
-    "    ip.cost.instrs += 1\n")
+_DEF = "def run(ip, f):\n"
 
-#: per-statement step accounting shared by If/Return sources.  The
-#: limit compare goes against ``_limit_at`` (== max_steps without a
-#: deadline); ``_over_limit`` raises or advances the clock checkpoint.
+#: per-instruction count that opens every Set/Call/Check source
+_INSTR_COUNT = "    ip.cost.instrs += 1\n"
+
+#: per-statement step accounting.  The limit compare goes against
+#: ``_limit_at`` (== max_steps without a deadline); ``_over_limit``
+#: raises or advances the clock checkpoint.
 _STEP_HEAD = (
-    "def run(ip, f):\n"
+    _DEF +
     "    ip.steps += 1\n"
     "    if ip.steps > ip._limit_at:\n"
     "        ip._over_limit()\n")
@@ -155,20 +172,21 @@ _CMP_SYM = {
     E.BinopKind.EQ: "==", E.BinopKind.NE: "!=",
 }
 
-#: integer binop fast-path expressions over ``v1``/``v2`` plus whether
-#: the expression can raise ZeroDivisionError.  The DIV/MOD forms
-#: mirror the tree walker's C-style truncation (``int(x / y)``).
+#: integer binop fast-path expressions over operands ``{a}``/``{b}``
+#: plus whether the expression can raise ZeroDivisionError.  The
+#: DIV/MOD forms mirror the tree walker's C-style truncation
+#: (``int(x / y)``).
 _INT_EXPR = {
-    E.BinopKind.ADD: ("v1 + v2", False),
-    E.BinopKind.SUB: ("v1 - v2", False),
-    E.BinopKind.MUL: ("v1 * v2", False),
-    E.BinopKind.DIV: ("int(v1 / v2)", True),
-    E.BinopKind.MOD: ("v1 - int(v1 / v2) * v2", True),
-    E.BinopKind.SHL: ("v1 << (v2 & 63)", False),
-    E.BinopKind.SHR: ("v1 >> (v2 & 63)", False),
-    E.BinopKind.BAND: ("v1 & v2", False),
-    E.BinopKind.BOR: ("v1 | v2", False),
-    E.BinopKind.BXOR: ("v1 ^ v2", False),
+    E.BinopKind.ADD: ("{a} + {b}", False),
+    E.BinopKind.SUB: ("{a} - {b}", False),
+    E.BinopKind.MUL: ("{a} * {b}", False),
+    E.BinopKind.DIV: ("int({a} / {b})", True),
+    E.BinopKind.MOD: ("{a} - int({a} / {b}) * {b}", True),
+    E.BinopKind.SHL: ("{a} << ({b} & 63)", False),
+    E.BinopKind.SHR: ("{a} >> ({b} & 63)", False),
+    E.BinopKind.BAND: ("{a} & {b}", False),
+    E.BinopKind.BOR: ("{a} | {b}", False),
+    E.BinopKind.BXOR: ("{a} ^ {b}", False),
 }
 
 
@@ -314,19 +332,17 @@ class _Compiler:
         """Runner for a statement list *without* a step count for the
         block itself (If branches, loop bodies, function bodies); it
         stops at, and returns, the first statement's signal."""
-        stmts = tuple(self.stmt(s) for s in b.stmts)
+        stmts = [self.stmt(s) for s in b.stmts]
         if not stmts:
             return _noop
-        if len(stmts) == 1:
+        last = len(stmts) - 1
+        if not last:
             return stmts[0]
-
-        def run(ip, f):
-            for s in stmts:
-                r = s(ip, f)
-                if r is not None:
-                    return r
-            return None
-        return run
+        src = _DEF + "".join(f"    r = s{n}(ip, f)\n"
+                             "    if r is not None:\n"
+                             "        return r\n" for n in range(last))
+        return _gen(src + f"    return s{last}(ip, f)\n",
+                    {f"s{n}": s for n, s in enumerate(stmts)})
 
     def stmt(self, s: S.Stmt) -> Callable:
         cls = s.__class__
@@ -339,65 +355,46 @@ class _Compiler:
         if cls is S.Return:
             return self._compile_return(s)
         if cls is S.Block:
-            body = self.block_body(s)
-
-            def run(ip, f):
-                ip.steps += 1
-                if ip.steps > ip._limit_at:
-                    ip._over_limit()
-                return body(ip, f)
-            return run
+            return _gen(_STEP_HEAD + "    return body(ip, f)\n",
+                        {"body": self.block_body(s)})
         if cls is S.Break or cls is S.Continue:
-            signal = _BREAK if cls is S.Break else _CONTINUE
-
-            def run(ip, f):
-                ip.steps += 1
-                if ip.steps > ip._limit_at:
-                    ip._over_limit()
-                return signal
-            return run
-
+            return _gen(_STEP_HEAD + "    return signal\n", {
+                "signal": _BREAK if cls is S.Break else _CONTINUE})
         # Unknown statement classes: the tree walker counts the step
         # and falls through; replicate.
-        def run(ip, f):
-            ip.steps += 1
-            if ip.steps > ip._limit_at:
-                ip._over_limit()
-        return run
+        return _gen(_STEP_HEAD, {})
 
     def _compile_instr_stmt(self, s: S.InstrStmt) -> Callable:
-        instrs = tuple(self.instr(i) for i in s.instrs)
-        if len(instrs) == 1:
-            one = instrs[0]
-
-            def run(ip, f):
-                ip.steps += 1
-                if ip.steps > ip._limit_at:
-                    ip._over_limit()
-                one(ip, f)
-            return run
-
-        def run(ip, f):
-            ip.steps += 1
-            if ip.steps > ip._limit_at:
-                ip._over_limit()
-            for i in instrs:
-                i(ip, f)
-        return run
+        """One fragment per statement: the step head, then the lone
+        instruction's own lines, or a call per instruction."""
+        codes = [self.instr(i) for i in s.instrs]
+        if len(codes) == 1:
+            src, env = codes[0]
+            return _gen(_STEP_HEAD + src, env)
+        src = _STEP_HEAD
+        env = {}
+        for n, (isrc, ienv) in enumerate(codes):
+            env[f"i{n}"] = _gen(_DEF + isrc, ienv)
+            src += f"    i{n}(ip, f)\n"
+        return _gen(src, env)
 
     def _compile_if(self, s: S.If) -> Callable:
-        fcode, fenv = self._fetch(s.cond, 1)
-        # truthiness matches the tree walker: ints by value, pointers
-        # by address, everything else by bool()
-        src = (_STEP_HEAD +
-               "    ip.cost.branches += 1\n"
-               f"    v = {fcode}\n"
-               "    if v.__class__ is PtrVal:\n"
-               "        v = v.addr\n"
-               "    if v:\n"
-               "        return thenb(ip, f)\n")
-        env = {**fenv, "PtrVal": PtrVal,
-               "thenb": self.block_body(s.then)}
+        fused = self._op_code(s.cond, "o")
+        if fused is not None:
+            test, env = fused
+            test += "    if ro:\n"
+        else:
+            # truthiness matches the tree walker: ints by value,
+            # pointers by address, everything else by bool()
+            fcode, env = self._fetch(s.cond, 1)
+            env["PtrVal"] = PtrVal
+            test = (f"    v = {fcode}\n"
+                    "    if v.__class__ is PtrVal:\n"
+                    "        v = v.addr\n"
+                    "    if v:\n")
+        src = (_STEP_HEAD + "    ip.cost.branches += 1\n" + test
+               + "        return thenb(ip, f)\n")
+        env["thenb"] = self.block_body(s.then)
         if s.els.stmts:
             # an empty else (every loop's exit test) costs no call
             src += "    return elsb(ip, f)\n"
@@ -434,12 +431,7 @@ class _Compiler:
 
     def _compile_return(self, s: S.Return) -> Callable:
         if s.exp is None:
-            def run(ip, f):
-                ip.steps += 1
-                if ip.steps > ip._limit_at:
-                    ip._over_limit()
-                return (0,)
-            return run
+            return _gen(_STEP_HEAD + "    return (0,)\n", {})
         fcode, fenv = self._fetch(s.exp, 1)
         src = _STEP_HEAD + f"    return ({fcode},)\n"
         return _gen(src, fenv)
@@ -448,7 +440,9 @@ class _Compiler:
     # Instructions
     # ------------------------------------------------------------------
 
-    def instr(self, i: S.Instr) -> Callable:
+    def instr(self, i: S.Instr) -> tuple[str, dict]:
+        """The source lines (after the ``def``) and env of one
+        instruction; its statement compiles them."""
         cls = i.__class__
         if cls is S.Set:
             return self._compile_set(i)
@@ -484,18 +478,22 @@ class _Compiler:
                     "        value = coerce_slow(value)\n"), env
         return "    value = coerce_slow(value)\n", env
 
-    def _compile_set(self, i: S.Set) -> Callable:
+    def _compile_set(self, i: S.Set) -> tuple[str, dict]:
         lv = i.lval
-        fcode, fenv = self._fetch(i.exp, 1)
+        fused = self._op_code(i.exp, "o")
+        if fused is not None:
+            vcode, venv = fused
+            vcode += "    value = ro\n"
+        else:
+            fcode, venv = self._fetch(i.exp, 1)
+            vcode = f"    value = {fcode}\n"
         ccode, cenv = self._coerce_code(lv.type())
-        head = _INSTR_HEAD + f"    value = {fcode}\n" + ccode
+        head = _INSTR_COUNT + vcode + ccode
         if lv.host.__class__ is E.Var and self._is_reg(lv.host.var):
-            # register destination: the whole statement is one frame
-            src = head + "    f.regs[dvid] = value\n"
-            return _gen(src, {**fenv, **cenv,
-                              "dvid": lv.host.var.vid})
+            return head + "    f.regs[dvid] = value\n", {
+                **venv, **cenv, "dvid": lv.host.var.vid}
         acode, aenv, t = self._addr_code(lv)
-        body = self._write_body(t)
+        body = self._write_body(t, lv.host.__class__ is E.Var)
         if body is not None:
             bcode, benv = body
             guard = ""
@@ -504,20 +502,18 @@ class _Compiler:
                     "    if value.__class__ is PtrVal "
                     "and value.addr != 0:\n"
                     "        ip._stack_escape_check(addr, value, f)\n")
-            src = head + acode + guard + bcode
-            return _gen(src, {**fenv, **cenv, **aenv, **benv,
-                              "PtrVal": PtrVal})
-        writec = self.write_lval(lv)
-        src = head + "    writec(ip, f, value)\n"
-        return _gen(src, {**fenv, **cenv, "writec": writec})
+            return head + acode + guard + bcode, {
+                **venv, **cenv, **aenv, **benv, "PtrVal": PtrVal}
+        return head + "    writec(ip, f, value)\n", {
+            **venv, **cenv, "writec": self.write_lval(lv)}
 
-    def _compile_call(self, i: S.Call) -> Callable:
+    def _compile_call(self, i: S.Call) -> tuple[str, dict]:
         fetches = [self._fetch(a, n) for n, a in enumerate(i.args)]
         env: dict = {"instr": i}
         for _, fe in fetches:
             env.update(fe)
         args_expr = ", ".join(fc for fc, _ in fetches)
-        head = _INSTR_HEAD + f"    args = [{args_expr}]\n"
+        head = _INSTR_COUNT + f"    args = [{args_expr}]\n"
         direct = (isinstance(i.fn, (E.AddrOf, E.LvalExp))
                   and isinstance(i.fn.lval.host, E.Var)
                   and isinstance(i.fn.lval.offset, E.NoOffset)
@@ -538,29 +534,29 @@ class _Compiler:
                 "instr, f)\n")
         store = ""
         if i.ret is not None:
-            env["retc"] = self.coerce(i.ret.type())
+            ccode, cenv = self._coerce_code(i.ret.type())
+            env.update(cenv)
+            store = "    value = ret\n" + ccode
             if (i.ret.host.__class__ is E.Var
                     and self._is_reg(i.ret.host.var)):
                 env["rvid"] = i.ret.host.var.vid
-                store = "    f.regs[rvid] = retc(ret)\n"
+                store += "    f.regs[rvid] = value\n"
             else:
                 env["retw"] = self.write_lval(i.ret)
-                store = "    retw(ip, f, retc(ret))\n"
-        return _gen(head + call + store, env)
+                store += "    retw(ip, f, value)\n"
+        return head + call + store, env
 
     # ------------------------------------------------------------------
     # Checks (specialized per kind at compile time)
     # ------------------------------------------------------------------
 
-    def _compile_check(self, c: S.Check) -> Callable:
+    def _compile_check(self, c: S.Check) -> tuple[str, dict]:
         if not self.cured:
             # Raw runs of an instrumented program: the instruction is
             # counted but the check is inert.
-            def run(ip, f):
-                ip.cost.instrs += 1
-            return run
+            return _INSTR_COUNT, {}
 
-        head = (_INSTR_HEAD
+        head = (_INSTR_COUNT
                 + "    ip.cost.events[evk] += 1\n"
                 # per-site hit counters for the observability layer;
                 # a None mapping keeps this to one attribute test
@@ -570,7 +566,7 @@ class _Compiler:
         env: dict = {"evk": f"check:{c.kind.value}", "sitek": c.site}
         body = self._check_body_code(c)
         if body is None:
-            return _gen(head, env)
+            return head, env
         bcode, benv = body
         # Mirror the tree walker's _exec_check: a failing check gets
         # its CheckFailure record attached before propagating.  The
@@ -583,8 +579,8 @@ class _Compiler:
                + "        ip._attach_check_failure(exc, chk, "
                "f.fundec.name)\n"
                + "        raise\n")
-        return _gen(src, {**env, **benv, "chk": c,
-                          "MemorySafetyError": MemorySafetyError})
+        return src, {**env, **benv, "chk": c,
+                     "MemorySafetyError": MemorySafetyError}
 
     def _check_body_code(self, c: S.Check) -> Optional[tuple[str, dict]]:
         K = S.CheckKind
@@ -761,15 +757,18 @@ class _Compiler:
             base = "p.addr"
         return "".join(lines), env, base, t
 
-    def _addr_code(self, lv: E.Lval) -> tuple[str, dict, T.CType]:
-        """Source lines computing the lvalue's address into ``addr``
-        (register hosts excluded — callers handle those first).  Field
-        offsets fold into one constant; Index offsets evaluate in chain
-        order with register/constant indices inlined."""
-        host_lines, env, base, t = self._host_code(lv)
-        lines: list[str] = [host_lines] if host_lines else []
+    def _offset_code(self, lv: E.Lval) -> tuple:
+        """The host lines plus the lvalue's offset chain, walked in
+        chain order: field offsets and constant indices fold into one
+        constant, register/constant indices inline.  Returns ``(lines,
+        env, base, const, parts, t, best)``: the address is ``base +
+        const`` plus the ``parts``, ``t`` is the lvalue's type, and
+        ``best`` is ``(const, #parts, extent)`` at the innermost
+        fixed-length indexed array (None if there is none)."""
+        lines, env, base, t = self._host_code(lv)
         const = 0
         parts: list[str] = []
+        best: Optional[tuple[int, int, int]] = None
         off = lv.offset
         n = 10
         while not isinstance(off, E.NoOffset):
@@ -781,6 +780,8 @@ class _Compiler:
                 at = T.unroll(t)
                 assert isinstance(at, T.TArray)
                 esz = _static_sizeof(at.base)
+                if at.length is not None:
+                    best = (const, len(parts), at.length * esz)
                 idx = off.index
                 if idx.__class__ is E.Const and \
                         isinstance(idx.value, int):
@@ -790,21 +791,30 @@ class _Compiler:
                     env.update(fenv)
                     env[f"esz{n}"] = esz
                     env["_index_slow"] = _index_slow
-                    lines += [f"    i{n} = {fcode}\n",
-                              f"    if i{n}.__class__ is not int:\n",
-                              f"        i{n} = _index_slow(i{n})\n"]
+                    lines += (f"    i{n} = {fcode}\n"
+                              f"    if i{n}.__class__ is not int:\n"
+                              f"        i{n} = _index_slow(i{n})\n")
                     parts.append(f"i{n} * esz{n}")
                     n += 1
                 t = at.base
             off = off.rest
-        expr = base
+        return lines, env, base, const, parts, t, best
+
+    @staticmethod
+    def _sum(base: str, const: int, parts: list[str], env: dict,
+             name: str) -> str:
+        """``base`` plus the constant (bound to ``name``) and parts."""
         if const:
-            env["delta"] = const
-            expr += " + delta"
-        for p in parts:
-            expr += f" + {p}"
-        lines.append(f"    addr = {expr}\n")
-        return "".join(lines), env, t
+            env[name] = const
+            base += " + " + name
+        return " + ".join([base] + parts)
+
+    def _addr_code(self, lv: E.Lval) -> tuple[str, dict, T.CType]:
+        """Source lines computing the lvalue's address into ``addr``
+        (register hosts excluded — callers handle those first)."""
+        lines, env, base, const, parts, t, _ = self._offset_code(lv)
+        addr = self._sum(base, const, parts, env, "delta")
+        return lines + f"    addr = {addr}\n", env, t
 
     def read_lval(self, lv: E.Lval) -> Callable:
         if lv.host.__class__ is E.Var and self._is_reg(lv.host.var):
@@ -814,17 +824,16 @@ class _Compiler:
                 return f.regs[vid]
             return run
         acode, aenv, t = self._addr_code(lv)
-        body = self._read_body(t)
+        body = self._read_body(t, lv.host.__class__ is E.Var)
         if body is not None:
             bcode, benv = body
-            return _gen("def run(ip, f):\n" + acode + bcode,
-                        {**aenv, **benv})
-        addr_fn = _gen("def run(ip, f):\n" + acode +
-                       "    return addr\n", aenv)
-        readc = self.read_mem(t)
+            return _gen(_DEF + acode + bcode, {**aenv, **benv})
+        # aggregates: the generic path handles blobs, counts and
+        # shadow hooks
+        addr_fn = _gen(_DEF + acode + "    return addr\n", aenv)
 
         def run(ip, f):
-            return readc(ip, addr_fn(ip, f))
+            return ip._read_mem(addr_fn(ip, f), t)
         return run
 
     def write_lval(self, lv: E.Lval) -> Callable:
@@ -842,24 +851,22 @@ class _Compiler:
             guard = ("    if value.__class__ is PtrVal "
                      "and value.addr != 0:\n"
                      "        ip._stack_escape_check(addr, value, f)\n")
-        body = self._write_body(t)
+        body = self._write_body(t, lv.host.__class__ is E.Var)
         if body is not None:
             bcode, benv = body
             return _gen("def run(ip, f, value):\n" + acode + guard
                         + bcode, {**aenv, **benv})
-        addr_fn = _gen("def run(ip, f):\n" + acode +
-                       "    return addr\n", aenv)
-        writec = self.write_mem(t)
+        addr_fn = _gen(_DEF + acode + "    return addr\n", aenv)
         if self.cured:
             def run(ip, f, value):
                 addr = addr_fn(ip, f)
                 if isinstance(value, PtrVal) and value.addr != 0:
                     ip._stack_escape_check(addr, value, f)
-                writec(ip, addr, value)
+                ip._write_mem(addr, t, value)
             return run
 
         def run(ip, f, value):
-            writec(ip, addr_fn(ip, f), value)
+            ip._write_mem(addr_fn(ip, f), t, value)
         return run
 
     # ------------------------------------------------------------------
@@ -907,23 +914,37 @@ class _Compiler:
                 "    if sh is not None:\n"
                 f"        sh.{hook}(addr, size)\n", env)
 
-    def _read_body(self, t: T.CType) -> Optional[tuple[str, dict]]:
+    def _read_body(self, t: T.CType,
+                   in_home: bool) -> Optional[tuple[str, dict]]:
         """Source lines loading a ``t``-typed value from ``addr`` (the
-        counts and the shadow hook included); None for aggregates."""
+        counts and the shadow hook included); None for aggregates.
+        ``in_home``: the lvalue's host is a variable, whose home the
+        lines already hold in ``h``, so an access inside it decodes in
+        place."""
         u = T.unroll(t)
         count, env = self._count_code(u, "on_read")
         if isinstance(u, (T.TInt, T.TEnum)):
-            env["signed"] = (u.kind.is_signed if isinstance(u, T.TInt)
-                             else True)
-            return (count +
-                    "    return ip.mem.read_int(addr, size, signed)\n",
-                    env)
+            signed = u.kind.is_signed if isinstance(u, T.TInt) else True
+            env["signed"] = signed
+            slow = "    return ip.mem.read_int(addr, size, signed)\n"
+            if in_home and env["size"] in _STORE:
+                env["load"] = (_LOAD_S if signed else _LOAD_U)[env["size"]]
+                return count + _in_home(
+                    "size", "    return load(h.data, off)[0]\n", slow), env
+            return count + slow, env
         if isinstance(u, T.TFloat):
             return (count +
                     "    return ip.mem.read_float(addr, size)\n", env)
         if isinstance(u, T.TPtr):
             env["from_meta"] = PtrVal.from_meta
-            lines = count + "    value, meta = ip.mem.read_ptr(addr)\n"
+            slow = "    value, meta = ip.mem.read_ptr(addr)\n"
+            if in_home:
+                env["load32"] = _LOAD_U32
+                lines = count + _in_home(
+                    "4", "    value = load32(h.data, off)[0]\n"
+                    "    meta = h.meta.get(off)\n", slow)
+            else:
+                lines = count + slow
             if self.cured and u.node is not None and u.node.split:
                 # Section 4.2: SPLIT data written by a library has no
                 # shadow metadata yet; the allocator's ground truth
@@ -939,13 +960,29 @@ class _Compiler:
             return lines + "    return from_meta(value, meta)\n", env
         return None
 
-    def _write_body(self, t: T.CType) -> Optional[tuple[str, dict]]:
+    def _write_body(self, t: T.CType,
+                    in_home: bool) -> Optional[tuple[str, dict]]:
         """Source lines storing ``value`` at ``addr``; None for
-        aggregates (generic ``_write_mem`` handles those)."""
+        aggregates (generic ``_write_mem`` handles those).  With
+        ``in_home`` a store inside the variable's home ``h`` encodes in
+        place and drops the pointer tags it overlaps."""
         u = T.unroll(t)
         count, env = self._count_code(u, "on_write")
         if isinstance(u, (T.TInt, T.TEnum)):
             env["_as_int"] = _as_int
+            size = env["size"]
+            if in_home and size in _STORE:
+                env.update(store=_STORE[size], smask=_MASK[size],
+                           _clear_meta=_clear_meta)
+                return (count +
+                        "    if value.__class__ is not int:\n"
+                        "        value = _as_int(value)\n" + _in_home(
+                            "size",
+                            "    store(h.data, off, value & smask)\n"
+                            "    if h.meta:\n"
+                            "        _clear_meta(h, off, size)\n",
+                            "    ip.mem.write_int(addr, value, size)\n"),
+                        env)
             return (count +
                     "    ip.mem.write_int(addr, value if "
                     "value.__class__ is int else _as_int(value), "
@@ -961,37 +998,25 @@ class _Compiler:
                      + "    v = value if value.__class__ is PtrVal "
                      "else PtrVal(_as_int(value))\n"
                      "    meta = v.meta()\n")
+            # Figure 10/11: every cured pointer store into a tagged
+            # area sets the word's tag; a raw store only keeps a
+            # pointer's own metadata.
+            tag = "    h.meta[off] = meta\n"
             if self.cured:
-                # Figure 10/11: every pointer store into a tagged area
-                # sets the word's tag.
                 env["PtrMeta"] = PtrMeta
                 lines += ("    if meta is None:\n"
                           "        meta = PtrMeta()\n")
-            return (lines + "    ip.mem.write_ptr(addr, v.addr, "
-                    "meta)\n", env)
+            else:
+                tag = "    if meta is not None:\n" + _indent(tag)
+            slow = "    ip.mem.write_ptr(addr, v.addr, meta)\n"
+            if not in_home:
+                return lines + slow, env
+            env.update(store32=_STORE_U32, _clear_meta=_clear_meta)
+            return lines + _in_home(
+                "4", "    store32(h.data, off, v.addr & 0xFFFFFFFF)\n"
+                "    if h.meta:\n"
+                "        _clear_meta(h, off, 4)\n" + tag, slow), env
         return None
-
-    def read_mem(self, t: T.CType) -> Callable:
-        """Compile a typed load ``(ip, addr) -> value``."""
-        body = self._read_body(t)
-        if body is None:
-            # Aggregates and anything exotic: the generic path already
-            # handles blobs, counts and shadow hooks.
-            def run(ip, addr, _t=t):
-                return ip._read_mem(addr, _t)
-            return run
-        bcode, benv = body
-        return _gen("def run(ip, addr):\n" + bcode, benv)
-
-    def write_mem(self, t: T.CType) -> Callable:
-        """Compile a typed store ``(ip, addr, value) -> None``."""
-        body = self._write_body(t)
-        if body is None:
-            def run(ip, addr, value, _t=t):
-                ip._write_mem(addr, _t, value)
-            return run
-        bcode, benv = body
-        return _gen("def run(ip, addr, value):\n" + bcode, benv)
 
     # ------------------------------------------------------------------
     # Store coercion and integer wrapping (static per type)
@@ -1017,53 +1042,26 @@ class _Compiler:
 
     def wrap_for(self, t: T.CType) -> Callable:
         """Static version of ``Interpreter._wrap_to`` for type ``t``."""
-        u = T.unroll(t)
-        if isinstance(u, T.TFloat):
+        params = self._wrap_params(t)
+        if params is None:
             return lambda v: v
-        if isinstance(u, T.TInt):
-            bits = 8 * u.size()
-            signed = u.kind.is_signed
-        else:
-            bits, signed = 32, False
-        mask = (1 << bits) - 1
-        if not signed:
-            def wrap(v):
-                if not isinstance(v, int):
-                    v = int(v)
-                return v & mask
-            return wrap
-        top = 1 << (bits - 1)
-        span = 1 << bits
+        mask, top, span = params
 
         def wrap(v):
             if not isinstance(v, int):
                 v = int(v)
             v &= mask
-            return v - span if v >= top else v
+            return v - span if top and v >= top else v
         return wrap
 
     def coerce(self, t: T.CType) -> Callable:
-        """Static version of ``Interpreter._coerce_store``."""
+        """Static version of ``Interpreter._coerce_store`` (the slow
+        path of ``_coerce_code``)."""
         u = T.unroll(t)
         if isinstance(u, (T.TInt, T.TEnum)):
             wrap = self.wrap_for(t)
-            mask, top, span = self._wrap_params(t) or (0xFFFFFFFF,
-                                                       0, 0)
-            if not top:
-                def run(v):
-                    if v.__class__ is int:
-                        return v & mask
-                    if isinstance(v, PtrVal):
-                        v = v.addr
-                    elif isinstance(v, float):
-                        v = int(v)
-                    return wrap(_as_int(v))
-                return run
 
             def run(v):
-                if v.__class__ is int:
-                    v &= mask
-                    return v - span if v >= top else v
                 if isinstance(v, PtrVal):
                     v = v.addr
                 elif isinstance(v, float):
@@ -1162,71 +1160,23 @@ class _Compiler:
                     not self._counts_nothing(off.index):
                 return None
             off = off.rest
-        host_lines, env, base, t = self._host_code(lv)
-        lines: list[str] = [host_lines] if host_lines else []
-        const = 0
-        parts: list[str] = []
-        #: innermost fixed-length indexed array: (const, #parts, extent)
-        best: Optional[tuple[int, int, int]] = None
-        n = 10
-        off = lv.offset
-        while not isinstance(off, E.NoOffset):
-            if isinstance(off, E.Field):
-                const += T.field_offset(off.field)
-                t = off.field.type
-            else:
-                assert isinstance(off, E.Index)
-                at = T.unroll(t)
-                assert isinstance(at, T.TArray)
-                esz = _static_sizeof(at.base)
-                if at.length is not None:
-                    best = (const, len(parts), at.length * esz)
-                idx = off.index
-                if idx.__class__ is E.Const and \
-                        isinstance(idx.value, int):
-                    const += idx.value * esz
-                else:
-                    fcode, fenv = self._fetch(idx, n)
-                    env.update(fenv)
-                    env[f"esz{n}"] = esz
-                    env["_index_slow"] = _index_slow
-                    lines += [f"    i{n} = {fcode}\n",
-                              f"    if i{n}.__class__ is not int:\n",
-                              f"        i{n} = _index_slow(i{n})\n"]
-                    parts.append(f"i{n} * esz{n}")
-                    n += 1
-                t = at.base
-            off = off.rest
+        lines, env, base, const, parts, t, best = self._offset_code(lv)
         env["PtrVal"] = PtrVal
         if best is None:
-            expr = base
-            if const:
-                env["delta"] = const
-                expr += " + delta"
-            for p in parts:
-                expr += " + " + p
             env["size"] = _static_sizeof(t)
-            lines += [f"    addr = {expr}\n",
-                      "    return PtrVal(addr, b=addr, e=addr + size)\n"]
+            addr = self._sum(base, const, parts, env, "delta")
+            lines += (f"    addr = {addr}\n"
+                      "    return PtrVal(addr, b=addr, e=addr + size)\n")
         else:
             bconst, bn, extent = best
-            bexpr = base
-            if bconst:
-                env["bdelta"] = bconst
-                bexpr += " + bdelta"
-            for p in parts[:bn]:
-                bexpr += " + " + p
-            aexpr = "b"
-            if const - bconst:
-                env["sdelta"] = const - bconst
-                aexpr += " + sdelta"
-            for p in parts[bn:]:
-                aexpr += " + " + p
             env["extent"] = extent
-            lines += [f"    b = {bexpr}\n",
-                      f"    addr = {aexpr}\n",
-                      "    return PtrVal(addr, b=b, e=b + extent)\n"]
-        return _gen("def run(ip, f):\n" + "".join(lines), env)
+            b = self._sum(base, bconst, parts[:bn], env, "bdelta")
+            addr = self._sum("b", const - bconst, parts[bn:], env,
+                             "sdelta")
+            lines += (f"    b = {b}\n"
+                      f"    addr = {addr}\n"
+                      "    return PtrVal(addr, b=b, e=b + extent)\n")
+        return _gen(_DEF + lines, env)
 
     def _compile_startof(self, lv: E.Lval) -> Optional[Callable]:
         """Array-to-pointer decay.  The tree engine resolves the
@@ -1248,58 +1198,128 @@ class _Compiler:
                     "e=home.end if home else addr)\n")
         return _gen("def run(ip, f):\n" + code + tail, env)
 
+    # ------------------------------------------------------------------
+    # Fused operators
+    # ------------------------------------------------------------------
+
+    def _op_code(self, e: E.Exp, tag: str) -> Optional[tuple[str, dict]]:
+        """Source lines leaving the value of ``e`` in the local
+        ``r{tag}`` when ``e`` is a comparison, ``!`` or a wrapping
+        integer operator; None for any other expression.  Operands
+        that are such operators fuse in recursively (tags ``{tag}1``,
+        ``{tag}2``), registers and constants inline, and anything else
+        is a fragment call.  Counting order is the tree walker's: the
+        operator, then its operands left to right.  The result is
+        always a plain ``int``."""
+        cls = e.__class__
+        r = "r" + tag
+        if cls is E.BinOp:
+            op = e.op
+            if op in E.COMPARISONS:
+                params = None
+            elif op in _INT_EXPR:
+                params = self._wrap_params(e.type())
+                if params is None:
+                    return None
+            else:
+                return None
+            l1, env, a, int1 = self._operand(e.e1, tag + "1")
+            l2, env2, b, int2 = self._operand(e.e2, tag + "2")
+            env.update(env2)
+            test = " and ".join(f"{x}.__class__ is int"
+                                for x, known in ((a, int1), (b, int2))
+                                if not known)
+            if params is None:
+                env.update(_cmp_slow=_cmp_slow, **{
+                    f"cmpf{tag}": _CMP_OPS[op]})
+                fast = f"    {r} = 1 if {a} {_CMP_SYM[op]} {b} else 0\n"
+                slow = f"    {r} = _cmp_slow({a}, {b}, cmpf{tag})\n"
+            else:
+                expr, may_raise = _INT_EXPR[op]
+                fast = self._wrap_code(r, expr.format(a=a, b=b), tag,
+                                       params, env)
+                if may_raise:
+                    env["ProgramAbort"] = ProgramAbort
+                    fast = ("    try:\n" + _indent(fast) +
+                            "    except ZeroDivisionError:\n"
+                            "        raise ProgramAbort('integer "
+                            "division by zero')\n")
+                env.update(_binop_slow=_binop_slow, **{
+                    f"iop{tag}": _INT_OPS[op],
+                    f"wrap{tag}": self.wrap_for(e.type())})
+                slow = (f"    {r} = _binop_slow({a}, {b}, iop{tag}, "
+                        f"wrap{tag})\n")
+            lines = l1 + l2
+        elif cls is E.UnOp:
+            lnot = e.op is E.UnopKind.LNOT
+            params = None if lnot else self._wrap_params(e.type())
+            if not lnot and params is None:
+                return None
+            lines, env, a, known = self._operand(e.e, tag + "1")
+            if params is None:
+                test = "" if known else f"{a}.__class__ is not PtrVal"
+                env["PtrVal"] = PtrVal
+                fast = f"    {r} = 0 if {a} else 1\n"
+                slow = f"    {r} = 0 if {a}.addr != 0 else 1\n"
+            else:
+                neg = e.op is E.UnopKind.NEG
+                test = "" if known else f"{a}.__class__ is int"
+                fast = self._wrap_code(r, ("-" if neg else "~") + a,
+                                       tag, params, env)
+                env[f"wrap{tag}"] = self.wrap_for(e.type())
+                env[f"slow{tag}"] = _neg_slow if neg else _bnot_slow
+                slow = f"    {r} = slow{tag}({a}, wrap{tag})\n"
+        else:
+            return None
+        lines = "    ip.cost.ops += 1\n" + lines
+        if not test:
+            return lines + fast, env
+        return (lines + f"    if {test}:\n" + _indent(fast)
+                + "    else:\n" + _indent(slow)), env
+
+    def _operand(self, e: E.Exp,
+                 tag: str) -> tuple[str, dict, str, bool]:
+        """``(lines, env, name, is_int)`` for one operand of a fused
+        operator: the lines leave its value in the local or env
+        ``name``, and ``is_int`` says it is statically a plain int."""
+        fused = self._op_code(e, tag)
+        if fused is not None:
+            return fused[0], fused[1], "r" + tag, True
+        if e.__class__ is E.Const and e.value.__class__ is int:
+            return "", {f"k{tag}": e.value}, f"k{tag}", True
+        fcode, env = self._fetch(e, tag)
+        return f"    x{tag} = {fcode}\n", env, f"x{tag}", False
+
+    @staticmethod
+    def _wrap_code(r: str, expr: str, tag: str,
+                   params: tuple[int, int, int], env: dict) -> str:
+        """Lines wrapping the int ``expr`` to the operator's type into
+        ``r`` (the mask, and the sign fold of a signed type)."""
+        mask, top, span = params
+        env[f"mask{tag}"] = mask
+        lines = f"    {r} = ({expr}) & mask{tag}\n"
+        if top:
+            env[f"top{tag}"] = top
+            env[f"span{tag}"] = span
+            lines += (f"    if {r} >= top{tag}:\n"
+                      f"        {r} -= span{tag}\n")
+        return lines
+
     def _compile_unop(self, e: E.UnOp) -> Callable:
-        fcode, fenv = self._fetch(e.e, 1)
-        if e.op is E.UnopKind.LNOT:
-            src = ("def run(ip, f):\n"
-                   "    ip.cost.ops += 1\n"
-                   f"    v = {fcode}\n"
-                   "    if v.__class__ is PtrVal:\n"
-                   "        return 0 if v.addr != 0 else 1\n"
-                   "    return 0 if v else 1\n")
-            return _gen(src, {**fenv, "PtrVal": PtrVal})
-        wrap = self.wrap_for(e.type())
-        params = self._wrap_params(e.type())
-        neg = e.op is E.UnopKind.NEG
-        if params is not None:
-            mask, top, span = params
-            if neg:
-                fast = "(-v) & mask"
-                slow = _neg_slow
-            else:
-                fast = "(~v) & mask"
-                slow = _bnot_slow
-            if top:
-                body = (f"        out = {fast}\n"
-                        "        return out - span if out >= top "
-                        "else out\n")
-            else:
-                body = f"        return {fast}\n"
-            src = ("def run(ip, f):\n"
-                   "    ip.cost.ops += 1\n"
-                   f"    v = {fcode}\n"
-                   "    if v.__class__ is int:\n"
-                   + body +
-                   "    return slow(v, wrap)\n")
-            return _gen(src, {**fenv, "mask": mask, "top": top,
-                              "span": span, "slow": slow,
-                              "wrap": wrap})
+        fused = self._op_code(e, "o")
+        if fused is not None:
+            lines, env = fused
+            return _gen(_DEF + lines + "    return ro\n", env)
+        # float-typed negation (and complement): no wrapping
         sub = self.exp(e.e)
-        if neg:
-            def run(ip, f):
-                ip.cost.ops += 1
-                v = sub(ip, f)
-                if isinstance(v, PtrVal):
-                    v = v.addr
-                return wrap(-v)  # type: ignore[operator]
-            return run
+        neg = e.op is E.UnopKind.NEG
 
         def run(ip, f):
             ip.cost.ops += 1
             v = sub(ip, f)
             if isinstance(v, PtrVal):
                 v = v.addr
-            return wrap(~_as_int(v))
+            return -v if neg else ~_as_int(v)  # type: ignore[operator]
         return run
 
     @staticmethod
@@ -1308,10 +1328,14 @@ class _Compiler:
         return _static_sizeof(bt.base) if isinstance(bt, T.TPtr) else 1
 
     def _compile_binop(self, e: E.BinOp) -> Callable:
+        fused = self._op_code(e, "o")
+        if fused is not None:
+            lines, env = fused
+            return _gen(_DEF + lines + "    return ro\n", env)
         op = e.op
         f1, env1 = self._fetch(e.e1, 1)
         f2, env2 = self._fetch(e.e2, 2)
-        head = ("def run(ip, f):\n"
+        head = (_DEF +
                 "    ip.cost.ops += 1\n"
                 f"    v1 = {f1}\n"
                 f"    v2 = {f2}\n")
@@ -1337,72 +1361,22 @@ class _Compiler:
                    "    return (a1 - a2) // esz\n")
             return _gen(src, {**env1, **env2, "PtrVal": PtrVal,
                               "_as_int": _as_int, "esz": esz})
-        if op in E.COMPARISONS:
-            # fast path: two plain ints (bool falls through, so the
-            # subclass-sensitive slow path keeps tree semantics)
-            sym = _CMP_SYM[op]
-            src = (head +
-                   "    if v1.__class__ is int and "
-                   "v2.__class__ is int:\n"
-                   f"        return 1 if v1 {sym} v2 else 0\n"
-                   "    return _cmp_slow(v1, v2, cmpf)\n")
-            return _gen(src, {**env1, **env2, "_cmp_slow": _cmp_slow,
-                              "cmpf": _CMP_OPS[op]})
-        rt = T.unroll(e.type())
-        if isinstance(rt, T.TFloat):
-            fop = _FLOAT_OPS.get(op)
-            if fop is None:
-                return lambda ip, f: ip._eval_binop(e, f)
-            src = (head +
-                   "    if v1.__class__ is PtrVal:\n"
-                   "        v1 = v1.addr\n"
-                   "    if v2.__class__ is PtrVal:\n"
-                   "        v2 = v2.addr\n"
-                   "    try:\n"
-                   "        return fop(_as_float(v1), _as_float(v2))\n"
-                   "    except ZeroDivisionError:\n"
-                   "        raise ProgramAbort('floating division by "
-                   "zero')\n")
-            return _gen(src, {**env1, **env2, "fop": fop,
-                              "_as_float": _as_float, "PtrVal": PtrVal,
-                              "ProgramAbort": ProgramAbort})
-        iop = _INT_OPS.get(op)
-        if iop is None:
+        fop = _FLOAT_OPS.get(op)
+        if fop is None or not isinstance(T.unroll(e.type()), T.TFloat):
             return lambda ip, f: ip._eval_binop(e, f)
-        wrap = self.wrap_for(e.type())
-        params = self._wrap_params(e.type())
-        expr = _INT_EXPR.get(op)
-        if params is not None and expr is not None:
-            mask, top, span = params
-            fast_expr, may_raise = expr
-            if top:
-                result = ("out = (" + fast_expr + ") & mask\n"
-                          "{i}return out - span if out >= top "
-                          "else out\n")
-            else:
-                result = "return (" + fast_expr + ") & mask\n"
-            if may_raise:
-                fast = ("        try:\n"
-                        "            " + result.format(i="            ")
-                        + "        except ZeroDivisionError:\n"
-                        "            raise ProgramAbort('integer "
-                        "division by zero')\n")
-            else:
-                fast = "        " + result.format(i="        ")
-            src = (head +
-                   "    if v1.__class__ is int and "
-                   "v2.__class__ is int:\n"
-                   + fast +
-                   "    return _binop_slow(v1, v2, iop, wrap)\n")
-            return _gen(src, {**env1, **env2,
-                              "_binop_slow": _binop_slow, "iop": iop,
-                              "wrap": wrap, "mask": mask, "top": top,
-                              "span": span,
-                              "ProgramAbort": ProgramAbort})
-
-        src = head + "    return _binop_slow(v1, v2, iop, wrap)\n"
-        return _gen(src, {**env1, **env2, "_binop_slow": _binop_slow,
-                          "iop": iop, "wrap": wrap})
+        src = (head +
+               "    if v1.__class__ is PtrVal:\n"
+               "        v1 = v1.addr\n"
+               "    if v2.__class__ is PtrVal:\n"
+               "        v2 = v2.addr\n"
+               "    try:\n"
+               "        return fop(_as_float(v1), _as_float(v2))\n"
+               "    except ZeroDivisionError:\n"
+               "        raise ProgramAbort('floating division by "
+               "zero')\n")
+        return _gen(src, {**env1, **env2, "fop": fop,
+                          "_as_float": _as_float, "PtrVal": PtrVal,
+                          "ProgramAbort": ProgramAbort})
 
     def _compile_cast(self, e: E.CastE) -> Callable:
         fcode, fenv = self._fetch(e.e, 1)

@@ -72,9 +72,10 @@ class _Return(Exception):
 class Frame:
     __slots__ = ("fundec", "regs", "homes", "frame_id")
 
-    def __init__(self, fundec: S.Fundec, frame_id: int) -> None:
+    def __init__(self, fundec: S.Fundec, frame_id: int,
+                 regs: dict[int, object]) -> None:
         self.fundec = fundec
-        self.regs: dict[int, object] = {}
+        self.regs = regs
         self.homes: dict[int, Home] = {}
         self.frame_id = frame_id
 
@@ -197,8 +198,8 @@ class Interpreter:
         self._frames: list[Frame] = []
         self._frame_counter = 0
         #: per-Fundec call plans (body runner + formal/local binding
-        #: recipe), keyed by id(fd); fds stay alive via self.functions
-        self._call_plans: dict[int, tuple] = {}
+        #: recipe)
+        self._call_plans: dict[S.Fundec, tuple] = {}
         self._str_homes: dict[str, Home] = {}
         # functions and their code addresses
         self.functions: dict[str, S.Fundec] = dict(prog.functions)
@@ -554,46 +555,45 @@ class Interpreter:
     def _call_fundec(self, fd: S.Fundec, args: list[object]) -> object:
         if len(self._frames) >= self.MAX_CALL_DEPTH:
             raise InterpreterLimitError("call depth exceeded")
-        plan = self._call_plans.get(id(fd))
+        plan = self._call_plans.get(fd)
         if plan is None:
-            plan = self._build_call_plan(fd)
-            self._call_plans[id(fd)] = plan
-        body, formals, reg_locals, home_locals = plan
+            plan = self._call_plans[fd] = self._build_call_plan(fd)
+        body, formals, reg_formals, zeros, home_locals = plan
         self._frame_counter += 1
-        frame = Frame(fd, self._frame_counter)
+        fid = self._frame_counter
+        frame = Frame(fd, fid, zeros.copy())
         self._frames.append(frame)
-        regs = frame.regs
-        homes = frame.homes
-        alloc = self.mem.alloc
-        fid = frame.frame_id
         try:
-            nargs = len(args)
-            for i, (vid, is_reg, size, label, t) in enumerate(formals):
-                value = args[i] if i < nargs else 0
-                if is_reg:
-                    regs[vid] = value
-                else:
-                    home = alloc(size, "stack", label)
-                    home.frame_id = fid
-                    homes[vid] = home
-                    self._write_mem(home.base, t,
-                                    self._coerce_store(value, t))
-            for vid, zero in reg_locals:
-                regs[vid] = zero
+            if reg_formals is not None and len(args) >= len(reg_formals):
+                frame.regs.update(zip(reg_formals, args))
+            else:
+                # address-taken formals get a home holding the coerced
+                # value; a missing actual reads 0
+                for i, (vid, is_reg, size, label, t) in enumerate(formals):
+                    value = args[i] if i < len(args) else 0
+                    if is_reg:
+                        frame.regs[vid] = value
+                    else:
+                        home = self.mem.alloc(size, "stack", label)
+                        home.frame_id = fid
+                        frame.homes[vid] = home
+                        self._write_mem(home.base, t,
+                                        self._coerce_store(value, t))
             for vid, size, label in home_locals:
-                home = alloc(size, "stack", label)
+                home = self.mem.alloc(size, "stack", label)
                 home.frame_id = fid
-                homes[vid] = home
+                frame.homes[vid] = home
             # the body yields None (fell off the end) or (value,)
             ret = body(self, frame)
             return 0 if ret is None else ret[0]
         finally:
             popped = self._frames.pop()
-            locks = self.mem.locks
-            for home in popped.homes.values():
-                home.alive = False
-                # frame pop invalidates the lock, like free does
-                locks.release(home.lock_slot)
+            if popped.homes:
+                locks = self.mem.locks
+                for home in popped.homes.values():
+                    home.alive = False
+                    # frame pop invalidates the lock, like free does
+                    locks.release(home.lock_slot)
 
     def _build_call_plan(self, fd: S.Fundec) -> tuple:
         """The per-function call recipe: a body runner plus the
@@ -621,15 +621,19 @@ class Interpreter:
             else:
                 formals.append((v.vid, False, self._sizeof(v.type),
                                 f"{fd.name}:{v.name}", v.type))
-        reg_locals = []
+        # when every formal is a register, binding is one dict update
+        reg_formals = None
+        if all(f[1] for f in formals):
+            reg_formals = tuple(f[0] for f in formals)
+        zeros = {}
         home_locals = []
         for v in fd.locals:
             if _is_register_type(v.type) and not v.address_taken:
-                reg_locals.append((v.vid, self._zero_of(v.type)))
+                zeros[v.vid] = self._zero_of(v.type)
             else:
                 home_locals.append((v.vid, self._sizeof(v.type),
                                     f"{fd.name}:{v.name}"))
-        return (body, tuple(formals), tuple(reg_locals),
+        return (body, tuple(formals), reg_formals, zeros,
                 tuple(home_locals))
 
     def _zero_of(self, t: T.CType) -> object:

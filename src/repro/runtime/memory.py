@@ -37,7 +37,8 @@ Integer and pointer loads and stores (1, 2, 4 and 8 bytes) are the
 interpreter's hottest memory operations.  They decode and encode in
 place with precompiled little-endian ``struct`` codecs on the home's
 bytearray, and ``Memory`` remembers the home of the last such access
-that stayed inside one home.  A memo hit is exact: homes never move,
+that stayed inside one home, or that ``home_of`` found.  A memo hit is
+exact: homes never move,
 shrink or overlap, and never leave the address map (a freed home stays
 mapped, and ``_recycle`` hands out the same base and size), so a home
 that holds ``[addr, addr + size)`` is the one a bisection would find.
@@ -207,9 +208,9 @@ class Memory:
         self.reuse_freed = reuse_freed
         #: freed heap homes by exact size, LIFO — the reuse pool
         self._free_heap: dict[int, list[Home]] = {}
-        #: the home of the last in-home integer or pointer access (an
-        #: empty sentinel until the first); the module docstring says
-        #: why a hit is exact
+        #: the home of the last in-home integer or pointer access or
+        #: ``home_of`` bisection (an empty sentinel until the first);
+        #: the module docstring says why a hit is exact
         self._last = Home(0, 0, 0, "none")
 
     # -- allocation ---------------------------------------------------------
@@ -267,12 +268,20 @@ class Memory:
     # -- address resolution -------------------------------------------------
 
     def home_of(self, addr: int) -> Optional[Home]:
-        """The home containing ``addr``, alive or not."""
+        """The home containing ``addr``, alive or not: the memo's home
+        when it holds ``addr``, else a bisection (which refreshes the
+        memo)."""
+        h = self._last
+        if h.base <= addr < h.end:
+            return h
         i = bisect_right(self._bases, addr) - 1
         if i < 0:
             return None
         h = self._by_base[i]
-        return h if addr < h.end else None
+        if addr < h.end:
+            self._last = h
+            return h
+        return None
 
     # -- raw byte access (hardware semantics) --------------------------------
 

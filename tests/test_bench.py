@@ -165,6 +165,20 @@ class TestHarness:
         assert row.ccured.status == row.raw.status
         assert 0.99 <= sum(row.kind_pct.values()) <= 1.01
 
+    def test_memoized_runs_keep_their_count_vector(self):
+        # the memo keeps each run's counts, so a table can be re-priced
+        # (or attributed) without re-running the program
+        row = run_workload(get("olden_bisort"),
+                           tools=("ccured", "purify", "valgrind"),
+                           scale=3)
+        for run, tool in ((row.raw, ""), (row.ccured, ""),
+                          (row.purify, "purify"),
+                          (row.valgrind, "valgrind")):
+            prices = price_row(tool)
+            assert run.counts, run.tool
+            assert sum(prices[k] * n for k, n in run.counts.items()) \
+                == run.cycles, run.tool
+
     def test_run_workload_no_tools(self):
         row = run_workload(get("olden_bisort"), tools=(), scale=3)
         assert row.ccured is None

@@ -14,6 +14,7 @@ import pytest
 
 from repro.baselines import PurifyChecker, ValgrindChecker
 from repro.bench import pristine_cure, pristine_parse
+from repro.cil import stmt as S
 from repro.core import cure
 from repro.frontend import parse_program
 from repro.interp import Interpreter
@@ -259,3 +260,177 @@ def test_step_budget_trap_mid_loop(mode):
                    ip.stdout_text()))
     assert at[0] == at[1]
     assert at[0][0] == 51  # one past the budget, in the loop (76 in all)
+
+
+# ---------------------------------------------------------------------------
+# The closure engine's seams: a statement is one generated fragment
+# (one-instruction statements inline the instruction, operator trees
+# fuse into If tests and Sets), a variable's load or store indexes its
+# home directly unless it leaves the home, and a call binds its frame
+# in bulk.  Each case traps or runs on both engines, raw and cured,
+# and the whole outcome must agree.
+# ---------------------------------------------------------------------------
+
+#: calls from inside a multi-instruction statement (``x = f(a) + g(b)``
+#: lowers to three instructions), fused If tests and Sets, and loops
+BUDGET_SRC = r"""
+#include <stdio.h>
+int sq(int v) { return v * v; }
+int tw(int v) { int k = v << 1; return k + 1; }
+int main(void) {
+  int i, s = 0, t = 3;
+  for (i = 0; i < 4; i++) {
+    s = sq(i) + tw(t);
+    if (s > 9 && !(i & 1)) t = t + s % 7;
+  }
+  printf("%d %d\n", s, t);
+  return 0;
+}
+"""
+
+#: name -> source; each case ends in a trap on at least one side
+SEAMS = {
+    # a raw store and load past a global array land in its neighbour;
+    # cured, the bounds check traps first
+    "global_overrun_spills": r"""
+        #include <stdio.h>
+        int a[3];
+        int b[3] = { 7, 8, 9 };
+        int main(void) {
+          int i, s = 0;
+          for (i = 0; i < 5; i++) a[i] = 10 + i;
+          for (i = 0; i < 5; i++) s += a[i];
+          printf("%d %d %d %d\n", s, b[0], b[1], b[2]);
+          return 0;
+        }""",
+    # the same with two locals on the stack
+    "local_overrun_spills": r"""
+        #include <stdio.h>
+        int main(void) {
+          int a[3];
+          int b[3];
+          int i, s = 0;
+          for (i = 0; i < 3; i++) b[i] = i;
+          for (i = 0; i < 5; i++) a[i] = 20 + i;
+          for (i = 0; i < 5; i++) s += a[i];
+          printf("%d %d %d\n", s, b[0], b[1]);
+          return 0;
+        }""",
+    # short a[3] leaves two unmapped bytes before the next word
+    "overrun_into_unmapped_bytes": r"""
+        #include <stdio.h>
+        short a[3];
+        int main(void) {
+          int i, s = 0;
+          for (i = 0; i < 4; i++) s += a[i];
+          printf("%d\n", s);
+          return 0;
+        }""",
+    # the fused comparison's operand is a load that traps
+    "trap_in_fused_comparison_operand": r"""
+        #include <stdio.h>
+        int main(void) {
+          int *p = (int *)16;
+          int n = 3;
+          if (n + 1 < *p) printf("less\n");
+          printf("done\n");
+          return 0;
+        }""",
+    # fewer actuals than formals: the missing formal reads 0
+    "call_with_fewer_actuals": r"""
+        #include <stdio.h>
+        int add3();
+        int main(void) {
+          printf("%d\n", add3(1, 2));
+          return 0;
+        }
+        int add3(int a, int b, int c) { return a + b + c; }""",
+    # an address-taken formal lives in a home, written at the call
+    "address_taken_formal": r"""
+        #include <stdio.h>
+        int bump(int x, int y) {
+          int *p = &x;
+          *p = *p + y;
+          return x;
+        }
+        int main(void) {
+          printf("%d\n", bump(40, 2));
+          return 0;
+        }""",
+    # recursion runs into the interpreter's call-depth limit
+    "recursion_to_max_depth": r"""
+        #include <stdio.h>
+        int down(int n) { if (n < 0) return 0; return down(n + 1) + 1; }
+        int main(void) {
+          printf("%d\n", down(0));
+          return 0;
+        }""",
+}
+
+
+def _outcome(ip):
+    """Everything a run shows, whether it ends or traps: the exit or
+    the error (with its CheckFailure record), steps, the count vector
+    and stdout so far."""
+    try:
+        end = (ip.run().status, None, None)
+    except Exception as exc:  # the trap itself is the compared outcome
+        end = (None, f"{type(exc).__name__}: {exc}",
+               getattr(exc, "failure", None))
+    return end + (ip.steps, ip.cost.counts(), ip.stdout_text())
+
+
+@pytest.mark.parametrize("mode", ("cured", "raw"))
+@pytest.mark.parametrize("name", sorted(SEAMS))
+def test_seam_parity(name, mode):
+    out = [_outcome(_control_flow_run(SEAMS[name], mode, engine))
+           for engine in ("closures", "tree")]
+    assert out[0] == out[1], f"{name} ({mode})"
+
+
+def test_seams_trap_where_expected():
+    raw = {name: _outcome(_control_flow_run(src, "raw", "tree"))
+           for name, src in SEAMS.items()}
+    # raw overruns corrupt the neighbour silently
+    assert raw["global_overrun_spills"][5] == "60 13 14 9\n"
+    assert raw["local_overrun_spills"][5] == "110 23 24\n"
+    assert raw["overrun_into_unmapped_bytes"][1].startswith(
+        "SegmentationFault")
+    assert raw["trap_in_fused_comparison_operand"][1].startswith(
+        "SegmentationFault")
+    assert raw["call_with_fewer_actuals"][5] == "3\n"
+    assert raw["address_taken_formal"][5] == "42\n"
+    assert raw["recursion_to_max_depth"][1] == \
+        "InterpreterLimitError: call depth exceeded"
+
+
+@pytest.mark.parametrize("mode", ("cured", "raw"))
+def test_step_budget_at_every_statement(mode):
+    """A step budget that runs out at every statement in turn: the
+    head of a fused one-instruction statement, of a multi-instruction
+    one, and inside calls made from the middle of one."""
+    total = _control_flow_run(BUDGET_SRC, mode, "tree").run().steps
+    for budget in range(1, total):
+        out = [_outcome(_control_flow_run(BUDGET_SRC, mode, engine,
+                                          max_steps=budget))
+               for engine in ("closures", "tree")]
+        assert out[0] == out[1], f"budget {budget} ({mode})"
+        assert out[0][3] == budget + 1
+
+
+def test_budget_program_has_both_statement_shapes():
+    prog = parse_program(BUDGET_SRC, "budget")
+    sizes = set()
+
+    def walk(block):
+        for s in block.stmts:
+            if isinstance(s, S.InstrStmt):
+                sizes.add(min(len(s.instrs), 2))
+            for sub in ("then", "els", "body"):
+                if isinstance(getattr(s, sub, None), S.Block):
+                    walk(getattr(s, sub))
+            if isinstance(s, S.Block):
+                walk(s)
+    for fd in prog.functions.values():
+        walk(fd.body)
+    assert sizes == {1, 2}

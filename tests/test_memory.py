@@ -1,5 +1,7 @@
 """Unit tests for the memory model (homes, shadow metadata, spanning)."""
 
+from bisect import bisect_right
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -269,9 +271,21 @@ class TestScalarCodecs:
         m = Memory(gap_regions={"stack"}, reuse_freed=True)
         homes = [m.alloc(4 * (i % 3 + 1), "heap" if i % 2 else "stack")
                  for i in range(4)]
+
+        def check_home_of(addr, size):
+            # the memoized home_of against a bisection-only reference,
+            # at every home's edges (gaps, freed and recycled homes),
+            # around the last access and at unmapped addresses
+            probes = [0, addr - 1, addr, addr + size, 0xFFFFFFFF]
+            for h in homes:
+                probes += [h.base - 1, h.base, h.end - 1, h.end]
+            for a in probes:
+                assert m.home_of(a) is _home_by_bisection(homes, a), a
+
         for op, which, off, size, signed, value in ops:
             h = homes[which % len(homes)]
             addr = h.base + off
+            check_home_of(addr, size)
             try:
                 raw = m.read_raw(addr, size)
             except SegmentationFault:
@@ -302,3 +316,15 @@ class TestScalarCodecs:
                 m.write_int(addr, value, size)
                 assert m.read_raw(addr, size) == \
                     (value % (1 << (8 * size))).to_bytes(size, "little")
+        check_home_of(homes[-1].base, 4)
+
+
+def _home_by_bisection(homes, addr):
+    """``Memory.home_of`` without its memo: a bisection over every
+    home (recycled homes appear in ``homes`` once per tenancy)."""
+    by_base = sorted({id(h): h for h in homes}.values(),
+                     key=lambda h: h.base)
+    i = bisect_right([h.base for h in by_base], addr) - 1
+    if i < 0:
+        return None
+    return by_base[i] if addr < by_base[i].end else None
