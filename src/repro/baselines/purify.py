@@ -14,83 +14,25 @@ which the paper leans on for its comparison (Section 5):
   the paper's 25–100x slowdowns (its prices are the ``purify`` row of
   ``repro.runtime.cost.TOOL_PRICES``).
 
-Our shadow state tracks heap addressability and per-byte
-initialization; stack and global accesses are deliberately not
-validated, reproducing the blind spots above.
+Our shadow state tracks heap addressability only (the shared
+:class:`~repro.baselines.base.HeapShadowChecker`); stack and global
+accesses are deliberately not validated, reproducing the blind spots
+above.  Messages start with a Purify-style code: AB{R,W} for an
+array-bounds read or write, F{R,W} for a freed-memory read or write,
+FNH for freeing non-heap memory.
 """
 
 from __future__ import annotations
 
-from repro.baselines.base import BaselineViolation, ShadowChecker
-from repro.runtime.memory import Home
+from repro.baselines.base import HeapShadowChecker
 
 
-class PurifyChecker(ShadowChecker):
-    wants_redzones = True
+class PurifyChecker(HeapShadowChecker):
     name = "purify"
-
-    def __init__(self) -> None:
-        super().__init__()
-        #: hid -> True for live heap homes
-        self._live_heap: dict[int, bool] = {}
-        #: initialized-byte shadow for heap homes (2 bits/byte -> we
-        #: keep a bytearray of 0/1 flags)
-        self._init_bits: dict[int, bytearray] = {}
-        self.errors_reported = 0
-
-    # -- allocation tracking -----------------------------------------------
-
-    def on_alloc(self, home: Home) -> None:
-        self._live_heap[home.hid] = True
-        self._init_bits[home.hid] = bytearray(home.size)
-        self._count_alloc(home)
-
-    def on_free(self, home: Home) -> None:
-        if not self._live_heap.get(home.hid, False):
-            self.errors_reported += 1
-            raise BaselineViolation("purify",
-                                    "FNH: freeing non-heap block")
-        self._live_heap[home.hid] = False
-        self._count_free()
-
-    # -- access checking ------------------------------------------------------
-
-    def on_read(self, addr: int, size: int) -> None:
-        self.reads += 1
-        self._count_access(size)
-        self._validate(addr, size, "read")
-
-    def on_write(self, addr: int, size: int) -> None:
-        self.writes += 1
-        self._count_access(size)
-        home = self._validate(addr, size, "write")
-        if home is not None and home.hid in self._init_bits:
-            off = addr - home.base
-            bits = self._init_bits[home.hid]
-            for i in range(off, min(off + size, len(bits))):
-                bits[i] = 1
-
-    def _validate(self, addr: int, size: int, what: str):
-        home = self._home(addr)
-        if home is None:
-            # Red zone or unallocated address: ABW/ABR.
-            self.errors_reported += 1
-            raise BaselineViolation(
-                "purify", f"AB{'W' if what == 'write' else 'R'}: "
-                f"{what} of {size} bytes at 0x{addr:x} in a red zone "
-                "or unallocated memory")
-        if home.region == "heap":
-            if not self._live_heap.get(home.hid, True):
-                self.errors_reported += 1
-                raise BaselineViolation(
-                    "purify", f"F{'W' if what == 'write' else 'R'}: "
-                    f"{what} to freed heap block {home.name}")
-            if addr + size > home.end:
-                self.errors_reported += 1
-                raise BaselineViolation(
-                    "purify", f"ABW: {what} overruns heap block "
-                    f"{home.name}")
-        # Stack and global accesses are not validated: Purify's
-        # documented blind spot (the access must land *somewhere*
-        # mapped, which the memory model already guarantees).
-        return home
+    messages = {
+        "bad_free": "FNH: freeing non-heap block",
+        "unmapped": "AB{rw}: {what} of {size} bytes at 0x{addr:x} in a "
+                    "red zone or unallocated memory",
+        "freed": "F{rw}: {what} to freed heap block {block}",
+        "overrun": "AB{rw}: {what} overruns heap block {block}",
+    }

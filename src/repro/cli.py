@@ -14,10 +14,6 @@ Usage (also available as ``python -m repro``)::
                                            # perf regression gate
                                            # (counts exact, speedup
                                            # ratio with slack)
-    python -m repro profile --all-workloads
-                                           # per-phase pipeline
-                                           # breakdown (deterministic
-                                           # counts; --timing for wall)
     python -m repro workloads              # list the benchmark suite
     python -m repro analyze prog.c         # per-function CFG/dataflow
                                            # and check-elimination stats
@@ -33,6 +29,12 @@ Usage (also available as ``python -m repro``)::
                                            # deterministic pipeline
                                            # metrics (checks, kinds,
                                            # per-site histograms)
+    python -m repro metrics --workload NAME --timing
+                                           # + wall seconds per phase
+    python -m repro metrics --all-workloads --jobs 2 --trace out.json
+                                           # one merged Chrome trace:
+                                           # every worker's spans on
+                                           # real pid/tid lanes
     python -m repro metrics diff --baseline old.json --fail-on-regress
                                            # CI regression gate
     python -m repro explain NAME|FILE      # blame chains + root-cause
@@ -40,24 +42,17 @@ Usage (also available as ``python -m repro``)::
     python -m repro explain diff --baseline a.json --current b.json
                                            # did the annotation
                                            # shrink WILD?
-    python -m repro sweep --jobs auto --out artifacts/
-                                           # the full workload matrix,
-                                           # sharded across cores
-    python -m repro sweep --jobs 2 --trace out.json
-                                           # one merged Chrome trace:
-                                           # every worker's spans on
-                                           # real pid/tid lanes
     python -m repro cache stats|clear      # the content-addressed
                                            # cure cache
 
-Sweep-shaped commands (``metrics``, ``lint``, ``analyze``, ``profile``,
-``faults run``, ``faults lint``, ``sweep``) accept ``--jobs N|auto`` to
-shard their workload loop across processes; ``--jobs 1`` (the default)
-runs the same shards inline, so the output is byte-identical at every
+Sweep-shaped commands (``metrics``, ``lint``, ``analyze``,
+``faults run``, ``faults lint``) accept ``--jobs N|auto`` to shard
+their workload loop across processes; ``--jobs 1`` (the default) runs
+the same shards inline, so the output is byte-identical at every
 ``--jobs`` value, and all of them share the on-disk cure cache
 (``REPRO_CACHE_DIR``; ``REPRO_CACHE=off`` disables it).  A selection
-naming an unknown workload, campaign, mutation class or sweep target
-exits 2 with one message before any work starts.
+naming an unknown workload, campaign, mutation class or tool exits 2
+with one message before any work starts.
 
 The exit status of ``run`` is the program's exit status; memory-safety
 failures exit with status 99 after printing the check that fired,
@@ -367,13 +362,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             include_dirs=args.include or None))
     if args.json:
         payload = reports[0] if len(reports) == 1 else reports
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        if args.json == "-":
-            print(text)
-        else:
-            with open(args.json, "w", encoding="utf-8") as f:
-                f.write(text + "\n")
-            print(f"stats written to {args.json}", file=sys.stderr)
+        _emit_json(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                   args.json, "stats")
     else:
         for i, r in enumerate(reports):
             if i:
@@ -506,7 +496,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
     from repro.obs import (EXPLAIN_SCHEMA, diff_explain,
                            explain_report, load_json, render_explain,
-                           render_explain_diff, write_json)
+                           render_explain_diff, stable_dumps)
 
     if args.target == "diff":
         if not (args.baseline and args.current):
@@ -552,10 +542,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     report = explain_report(cured, name, function=args.function,
                             var=args.var)
     if args.json:
-        write_json(report, args.json)
-        if args.json != "-":
-            print(f"explain report written to {args.json}",
-                  file=sys.stderr)
+        _emit_json(stable_dumps(report), args.json, "explain report")
     else:
         print(render_explain(report, top=args.top))
     return 0
@@ -577,7 +564,7 @@ def _select_workloads(names: Optional[str], all_workloads: bool):
 
 def cmd_metrics(args: argparse.Namespace) -> int:
     from repro.obs import (Thresholds, diff_reports, load_json,
-                           render_diff, render_report, write_json)
+                           render_diff, render_report, stable_dumps)
     from repro.sweep import sharded_metrics
 
     if getattr(args, "metrics_command", None) == "diff":
@@ -642,46 +629,10 @@ def cmd_metrics(args: argparse.Namespace) -> int:
                   "(load in chrome://tracing or ui.perfetto.dev)",
                   file=sys.stderr)
     if args.json:
-        write_json(report.to_json(include_timing=args.timing),
-                   args.json)
-        if args.json != "-":
-            print(f"metrics written to {args.json}",
-                  file=sys.stderr)
+        _emit_json(stable_dumps(report.to_json(include_timing=args.timing)),
+                   args.json, "metrics")
     else:
         print(render_report(report, top_sites=args.top))
-    return 0
-
-
-def cmd_profile(args: argparse.Namespace) -> int:
-    from repro.obs import (collect_profile, render_profile,
-                           stable_dumps)
-    selected = _select_workloads(args.workload, args.all_workloads)
-    if not selected:
-        print("profile: give --workload NAME[,NAME...] or "
-              "--all-workloads", file=sys.stderr)
-        return 2
-    trace_records: Optional[list] = [] if args.trace else None
-    pl = _progress_line(args, len(selected))
-    try:
-        report = collect_profile(
-            selected, engine=args.engine, optimize=args.optimize,
-            scale=args.scale, jobs=args.jobs, trace=trace_records,
-            progress=(pl.tick if pl is not None else None))
-    finally:
-        if pl is not None:
-            pl.close()
-    if args.trace:
-        from repro.obs.tracer import write_chrome_trace
-        write_chrome_trace(trace_records or [], args.trace)
-        if args.trace != "-":
-            print(f"chrome trace written to {args.trace}",
-                  file=sys.stderr)
-    if args.json:
-        _emit_json(stable_dumps(
-            report.to_json(include_timing=args.timing)),
-            args.json, "profile")
-    else:
-        print(render_profile(report, include_timing=args.timing))
     return 0
 
 
@@ -722,50 +673,6 @@ def cmd_cache(args: argparse.Namespace) -> int:
     print(f"  session     {rate(session):>8}  (this process: "
           f"{session.hits} hits / {session.misses} misses)")
     return 0
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.obs.serialize import stable_dumps
-    from repro.sweep import count_sweep_shards, run_sweep
-    targets = tuple(t.strip() for t in args.targets.split(",")
-                    if t.strip())
-    engines = tuple(e.strip() for e in args.engines.split(",")
-                    if e.strip())
-    levels = tuple(lv.strip() for lv in args.optimize.split(",")
-                   if lv.strip())
-    for e in engines:
-        if e not in ENGINES:
-            raise UnknownSelection(f"unknown engine {e!r}")
-    for lv in levels:
-        if lv not in OPTIMIZE_LEVELS:
-            raise UnknownSelection(f"unknown optimize level {lv!r}")
-    trace_records: Optional[list] = [] if args.trace else None
-    pl = _progress_line(args, count_sweep_shards(
-        targets=targets, engines=engines, levels=levels,
-        campaign=args.campaign))
-    try:
-        summary = run_sweep(
-            targets=targets, engines=engines, levels=levels,
-            jobs=args.jobs, out_dir=args.out, seed=args.seed,
-            campaign=args.campaign, scale=args.scale,
-            progress=None if args.quiet else _echo,
-            shard_progress=(pl.tick if pl is not None else None),
-            trace=trace_records)
-    finally:
-        if pl is not None:
-            pl.close()
-    if args.trace:
-        from repro.obs.tracer import write_chrome_trace
-        write_chrome_trace(trace_records or [], args.trace)
-        if args.trace != "-":
-            print(f"chrome trace written to {args.trace} "
-                  "(load in chrome://tracing or ui.perfetto.dev)",
-                  file=sys.stderr)
-    if args.json:
-        _emit_json(stable_dumps(summary.to_json()), args.json,
-                   "sweep summary")
-    print(summary.render())
-    return 0 if summary.ok else 2
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -927,33 +834,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cure_flags(p_exp)
     p_exp.set_defaults(fn=cmd_explain)
 
-    p_prof = sub.add_parser(
-        "profile",
-        parents=[_shared_flags(jobs=True, quiet=True,
-                               json_path=True, json_const=True,
-                               progress=True)],
-        help="per-phase pipeline breakdown (parse, solve, dataflow, "
-             "exec per engine) folded from span captures; counts are "
-             "byte-deterministic, timing opt-in")
-    p_prof.add_argument("--workload", default=None, metavar="NAMES",
-                        help="comma list of workloads to profile")
-    p_prof.add_argument("--all-workloads", action="store_true",
-                        help="profile every benchmark workload")
-    p_prof.add_argument("--scale", type=int, default=None,
-                        help="workload problem size")
-    p_prof.add_argument("--optimize", choices=OPTIMIZE_LEVELS,
-                        default=None, metavar="LEVEL",
-                        help="check-elimination level "
-                             "(default: flow)")
-    p_prof.add_argument("--timing", action="store_true",
-                        help="include wall seconds and cache phases "
-                             "(non-deterministic)")
-    p_prof.add_argument("--trace", default=None, metavar="PATH",
-                        help="also write the captured spans as "
-                             "Chrome trace_event JSON")
-    _add_engine_flag(p_prof)
-    p_prof.set_defaults(fn=cmd_profile)
-
     p_met = sub.add_parser(
         "metrics",
         parents=[_shared_flags(jobs=True, quiet=True,
@@ -1095,42 +975,6 @@ def build_parser() -> argparse.ArgumentParser:
         "clear", help="delete every entry and reset the counters")
     p_cclear.set_defaults(fn=cmd_cache)
 
-    p_sweep = sub.add_parser(
-        "sweep",
-        parents=[_shared_flags(jobs=True, quiet=True,
-                               json_path=True, progress=True)],
-        help="run the workload x engine x optimize matrix sharded "
-             "across cores, one deterministic artifact per cell")
-    p_sweep.add_argument("--targets",
-                         default="metrics,lint,campaign",
-                         metavar="LIST",
-                         help="comma list of metrics, lint, "
-                              "campaign, analyze "
-                              "(default: metrics,lint,campaign)")
-    p_sweep.add_argument("--engines", default="closures",
-                         metavar="LIST",
-                         help="comma list of execution engines "
-                              "(metrics cells; default: closures)")
-    p_sweep.add_argument("--optimize", default="flow",
-                         metavar="LIST",
-                         help="comma list of check-elimination "
-                              "levels (default: flow)")
-    p_sweep.add_argument("--out", default=None, metavar="DIR",
-                         help="write per-cell JSON artifacts into "
-                              "this directory")
-    p_sweep.add_argument("--seed", type=int, default=1337,
-                         help="campaign seed for campaign cells")
-    p_sweep.add_argument("--campaign", default="smoke",
-                         choices=("smoke", "full"),
-                         help="campaign preset for campaign cells")
-    p_sweep.add_argument("--scale", type=int, default=None,
-                         help="workload problem size")
-    p_sweep.add_argument("--trace", default=None, metavar="PATH",
-                         help="write one merged Chrome trace of the "
-                              "whole sweep — dispatch spans plus "
-                              "every worker's pipeline and cache "
-                              "spans on real pid/tid lanes")
-    p_sweep.set_defaults(fn=cmd_sweep)
     return parser
 
 

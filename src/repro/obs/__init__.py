@@ -4,7 +4,9 @@ regression diffing.
 Three layers, importable without pulling the heavy pipeline modules:
 
 * :mod:`repro.obs.tracer` — span/event tracing with a shared global
-  :data:`~repro.obs.tracer.TRACER`; zero-cost while disabled;
+  :data:`~repro.obs.tracer.TRACER`; zero-cost while disabled; its
+  :func:`~repro.obs.tracer.phase_seconds_of` is the one span fold
+  (``repro metrics --timing``);
 * :mod:`repro.obs.metrics` — per-workload static/dynamic check and
   pointer-kind accounting (:class:`~repro.obs.metrics.MetricsReport`),
   deterministic by construction;
@@ -13,10 +15,7 @@ Three layers, importable without pulling the heavy pipeline modules:
   (``repro metrics diff --fail-on-regress``);
 * :mod:`repro.obs.provenance` / :mod:`repro.obs.blame` — the blame
   graph recorded during inference and the explain/forensics layer on
-  top of it (``repro explain``, failure blame chains);
-* :mod:`repro.obs.profile` — the phase profiler: folds span captures
-  (single-process or merged multi-worker) into a deterministic
-  per-phase/per-workload breakdown (``repro profile``).
+  top of it (``repro explain``, failure blame chains).
 """
 
 from repro.obs.blame import (EXPLAIN_SCHEMA, BlameChain, BlameGraph,
@@ -31,17 +30,11 @@ from repro.obs.metrics import (SCHEMA, MetricsReport, SiteStat,
                                WorkloadMetrics,
                                collect_workload_metrics,
                                render_report, site_table)
-from repro.obs.profile import (NONDET_PHASES, PROFILE_SCHEMA,
-                               PhaseStat, ProfileReport,
-                               collect_profile, fold_spans,
-                               phase_key, profile_workload,
-                               render_profile)
-from repro.obs.serialize import (load_json, round_floats,
-                                 stable_dumps, write_json)
+from repro.obs.serialize import load_json, round_floats, stable_dumps
 from repro.obs.tracer import (TRACER, SpanRecord, Tracer,
-                              chrome_trace, phase_seconds_of, span,
-                              spans_from_wire, spans_to_wire,
-                              write_chrome_trace)
+                              chrome_trace, phase_key,
+                              phase_seconds_of, span, spans_from_wire,
+                              spans_to_wire, write_chrome_trace)
 
 __all__ = [
     "EXPLAIN_SCHEMA", "BlameChain", "BlameGraph", "diff_explain",
@@ -54,10 +47,8 @@ __all__ = [
     "SCHEMA", "MetricsReport", "SiteStat", "WorkloadMetrics",
     "collect_workload_metrics", "render_report",
     "site_table",
-    "NONDET_PHASES", "PROFILE_SCHEMA", "PhaseStat", "ProfileReport",
-    "collect_profile", "fold_spans", "phase_key",
-    "profile_workload", "render_profile",
-    "load_json", "round_floats", "stable_dumps", "write_json",
-    "TRACER", "SpanRecord", "Tracer", "phase_seconds_of", "span",
+    "load_json", "round_floats", "stable_dumps",
+    "TRACER", "SpanRecord", "Tracer", "phase_key", "phase_seconds_of",
+    "span",
     "spans_from_wire", "spans_to_wire",
 ]

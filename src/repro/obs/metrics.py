@@ -14,8 +14,9 @@ plus the per-check-site accounting CCured itself never had:
   id, enclosing function, check kind, hit count) collected by both
   engines through ``site_hits``;
 * optionally the wall-clock side — per-phase tracer times (parse,
-  cure, solve, dataflow, exec), which are real seconds and therefore
-  excluded from deterministic serializations by default.
+  cure, solve, dataflow, exec per engine and mode, cache load and
+  store), which are real seconds and therefore excluded from
+  deterministic serializations by default.
 
 Everything except the ``phases`` timings is a pure function of the
 program and the options, so a :class:`MetricsReport` serializes
@@ -74,7 +75,8 @@ class WorkloadMetrics:
     check_events: dict[str, int]        # executed, by kind
     sites: list[SiteStat] = field(default_factory=list)
     function_hits: dict[str, int] = field(default_factory=dict)
-    #: wall seconds per phase; non-deterministic, empty unless the
+    #: wall seconds per phase (keyed by ``tracer.phase_key``, e.g.
+    #: ``exec:closures:cured``); non-deterministic, empty unless the
     #: collection ran with timing enabled
     phases: dict[str, float] = field(default_factory=dict)
     #: per-state root-cause node counts from the blame graph
@@ -372,5 +374,5 @@ def render_report(report: MetricsReport, top_sites: int = 5) -> str:
             for k, v in wm.phases.items():
                 agg[k] = agg.get(k, 0.0) + v
         for k in sorted(agg):
-            lines.append(f"  {k:<12} {agg[k]:8.3f}s")
+            lines.append(f"  {k:<20} {agg[k]:8.3f}s")
     return "\n".join(lines)

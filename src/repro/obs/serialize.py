@@ -37,16 +37,6 @@ def stable_dumps(payload: Any) -> str:
                       sort_keys=True) + "\n"
 
 
-def write_json(payload: Any, path: str) -> None:
-    """Write canonical JSON to ``path`` (``-`` writes stdout)."""
-    text = stable_dumps(payload)
-    if path == "-":
-        sys.stdout.write(text)
-        return
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(text)
-
-
 def load_json(path: str) -> Any:
     """Load a JSON report from ``path`` (``-`` reads stdin)."""
     if path == "-":

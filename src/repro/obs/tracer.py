@@ -140,16 +140,6 @@ class Tracer:
         worker process be rebased onto another process's timeline."""
         return time.time() - (time.perf_counter() - self._epoch)
 
-    def phase_seconds(self) -> dict[str, float]:
-        """Total wall seconds per span name.  Nested spans count
-        toward their own name only; a parent's time includes its
-        children (phase names are chosen to make that reading
-        natural: ``cure`` contains ``solve``, ``dataflow``, ...)."""
-        out: dict[str, float] = {}
-        for r in self.records:
-            out[r.name] = out.get(r.name, 0.0) + r.duration
-        return out
-
     @contextmanager
     def capture(self) -> Iterator[list[SpanRecord]]:
         """Enable tracing for a block, yielding the (live) list that
@@ -178,15 +168,33 @@ def span(name: str, /, **attrs: Any) -> object:
     return TRACER.span(name, **attrs)
 
 
-def phase_seconds_of(records: list[SpanRecord],
-                     depth: Optional[int] = None) -> dict[str, float]:
-    """Aggregate a captured record list into per-name wall seconds,
-    optionally restricted to one nesting depth."""
+def phase_key(record: SpanRecord) -> str:
+    """The fold key of one span.  Span names are the phase; attrs that
+    change what the phase *means* are appended — ``exec`` splits per
+    engine and per raw/cured mode, ``cache`` per operation — so the
+    breakdown answers "exec per engine, cache load vs store" directly.
+    """
+    a = record.attrs
+    if record.name == "exec":
+        return (f"exec:{a.get('engine', '?')}"
+                f":{a.get('mode', '?')}")
+    if record.name == "cache":
+        return f"cache:{a.get('op', '?')}"
+    if record.name == "optimize":
+        return f"optimize:{a.get('level', '?')}"
+    return record.name
+
+
+def phase_seconds_of(records: Sequence[SpanRecord]) -> dict[str, float]:
+    """Total wall seconds per :func:`phase_key` — the program's one
+    span fold.  Nested spans count toward their own key only; a
+    parent's time includes its children (phase names are chosen to
+    make that reading natural: ``cure`` contains ``solve``,
+    ``dataflow``, ...)."""
     out: dict[str, float] = {}
     for r in records:
-        if depth is not None and r.depth != depth:
-            continue
-        out[r.name] = out.get(r.name, 0.0) + r.duration
+        key = phase_key(r)
+        out[key] = out.get(key, 0.0) + r.duration
     return out
 
 

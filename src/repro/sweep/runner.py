@@ -1,9 +1,8 @@
 """The multiprocess shard pool: picklable tasks, ordered results.
 
-A sweep is a list of ``(kind, kwargs)`` tasks — one per workload cell
-of the workload × engine × optimize matrix — dispatched to a
-:class:`concurrent.futures.ProcessPoolExecutor`.  Everything about the
-machinery is chosen for determinism:
+A sweep is a list of ``(kind, kwargs)`` tasks — one per workload —
+dispatched to a :class:`concurrent.futures.ProcessPoolExecutor`.
+Everything about the machinery is chosen for determinism:
 
 * task functions are module-level (picklable under every start
   method) and take only plain data, so a shard re-runs identically in
@@ -93,21 +92,12 @@ def _task_lintval(name: str, classes: Sequence[str], seed: int,
                              optimize=optimize, scale=scale)
 
 
-def _task_profile(name: str, engine: str, optimize: Optional[str],
-                  scale: Optional[int]) -> Any:
-    from repro.obs.profile import profile_workload_wire
-    from repro.workloads import get
-    return profile_workload_wire(get(name), engine=engine,
-                                 optimize=optimize, scale=scale)
-
-
 _TASKS: dict[str, Callable[..., Any]] = {
     "metrics": _task_metrics,
     "lint": _task_lint,
     "campaign": _task_campaign,
     "analyze": _task_analyze,
     "lintval": _task_lintval,
-    "profile": _task_profile,
 }
 
 

@@ -166,8 +166,8 @@ WORKLOADS: dict[str, Workload] = {w.name: w for w in [
 
 
 class UnknownSelection(KeyError):
-    """A selection names a workload, campaign, mutation class or sweep
-    target that does not exist.  Still a ``KeyError``, but a type of
+    """A selection names a workload, campaign, mutation class or tool
+    that does not exist.  Still a ``KeyError``, but a type of
     its own, so the CLI reports a bad selection (exit 2) while a real
     ``KeyError`` bug keeps its traceback."""
 

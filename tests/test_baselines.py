@@ -9,7 +9,7 @@ from helpers import cure_src
 from repro.baselines import (BaselineViolation, PurifyChecker,
                              ValgrindChecker)
 from repro.frontend import parse_program
-from repro.interp import run_cured, run_raw
+from repro.interp import ENGINES, run_cured, run_raw
 from repro.runtime.checks import MemorySafetyError
 
 HEAP_OVERRUN = """
@@ -104,6 +104,39 @@ class TestDetection:
     def test_clean_program_unaffected(self, tool):
         res = run_raw(parse_program(CLEAN, "t"), shadow=tool())
         assert res.status == sum(range(64)) % 251
+
+
+PARTIAL_OVERRUN = """
+#include <stdlib.h>
+int main(void) {
+  char *b = (char *)malloc(6);
+  int *p = (int *)(b + 4);   /* bytes 4..7 of a 6-byte block */
+  %s
+  return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("access, what", [("return *p;", "read"),
+                                          ("*p = 1;", "write")])
+def test_partial_heap_overrun_names_the_access(access, what, engine):
+    """An access that starts inside a heap block and runs past its end
+    is reported as the read or write it is (Purify: ABR vs ABW)."""
+    rw = "R" if what == "read" else "W"
+    expected = {
+        PurifyChecker: f"purify: AB{rw}: {what} overruns heap block "
+                       "malloc",
+        ValgrindChecker: f"valgrind: Invalid {what} of size 4: past "
+                         "the end of malloc",
+    }
+    for tool, message in expected.items():
+        shadow = tool()
+        with pytest.raises(BaselineViolation) as exc:
+            run_raw(parse_program(PARTIAL_OVERRUN % access, "t"),
+                    shadow=shadow, engine=engine)
+        assert str(exc.value) == message
+        assert shadow.errors_reported == 1
 
 
 class TestCCuredCatchesWhatTheyMiss:

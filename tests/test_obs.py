@@ -12,7 +12,8 @@ from repro.obs import (SCHEMA, TRACER, Thresholds,
                        collect_workload_metrics, diff_reports,
                        render_diff, render_report, round_floats,
                        site_table, stable_dumps)
-from repro.obs.tracer import Tracer, phase_seconds_of
+from repro.obs.tracer import (SpanRecord, Tracer, phase_key,
+                              phase_seconds_of)
 from repro.sweep import sharded_metrics
 from repro.workloads import get
 
@@ -91,10 +92,37 @@ class TestTracer:
                 pass
         with t.span("a"):
             pass
-        secs = t.phase_seconds()
+        secs = phase_seconds_of(t.records)
         assert set(secs) == {"a", "b"}
-        top = phase_seconds_of(t.records, depth=0)
-        assert set(top) == {"a"}
+        # a parent's time includes its children
+        assert secs["a"] >= secs["b"] >= 0
+
+    def test_phase_key_splits_exec_cache_optimize(self):
+        assert phase_key(SpanRecord(
+            "exec", 0, 0, 0, {"engine": "tree", "mode": "raw"})) \
+            == "exec:tree:raw"
+        assert phase_key(SpanRecord(
+            "cache", 0, 0, 0, {"op": "load", "event": "hit"})) \
+            == "cache:load"
+        assert phase_key(SpanRecord(
+            "optimize", 0, 0, 0, {"level": "flow"})) \
+            == "optimize:flow"
+        assert phase_key(SpanRecord("solve", 0, 0, 0, {})) == "solve"
+
+    def test_phase_seconds_of_folds_by_phase_key(self):
+        secs = phase_seconds_of([
+            SpanRecord("parse", 0, 0.0, 1.0, {}),
+            SpanRecord("parse", 0, 2.0, 0.5, {}),
+            SpanRecord("solve", 1, 0.1, 0.2, {}),
+            SpanRecord("exec", 1, 0.0, 0.25,
+                       {"engine": "tree", "mode": "raw"}),
+            SpanRecord("exec", 1, 0.0, 0.5,
+                       {"engine": "tree", "mode": "cured"}),
+            SpanRecord("cache", 2, 0.0, 0.125, {"op": "load"}),
+        ])
+        assert secs == {"parse": 1.5, "solve": 0.2,
+                        "exec:tree:raw": 0.25, "exec:tree:cured": 0.5,
+                        "cache:load": 0.125}
 
     def test_pipeline_emits_expected_phases(self):
         with TRACER.capture() as records:
@@ -167,6 +195,20 @@ class TestMetrics:
         assert payload["schema"] == SCHEMA
         assert [w["name"] for w in payload["workloads"]] == [
             "olden_power", "olden_treeadd"]
+
+    def test_timing_reports_every_phase_of_a_fresh_pipeline(
+            self, monkeypatch):
+        """With the memo cleared and the cure cache off, every phase
+        of the pipeline runs once, and --timing reports each one under
+        its phase key: exec per engine and mode, optimize per level."""
+        from repro.bench.harness import clear_program_cache
+        monkeypatch.setenv("REPRO_CACHE", "off")
+        clear_program_cache()
+        wm = collect_workload_metrics(get("olden_power"), timing=True)
+        assert sorted(wm.phases) == [
+            "constraints", "cure", "dataflow", "exec:closures:cured",
+            "exec:closures:raw", "instrument", "optimize:flow", "parse",
+            "preprocess", "solve", "split", "workload"]
 
     def test_timing_excluded_from_default_serialization(self):
         wm = collect_workload_metrics(get("olden_power"), timing=True)

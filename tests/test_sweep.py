@@ -14,9 +14,8 @@ import pytest
 
 from repro.cli import main
 from repro.obs.serialize import stable_dumps
-from repro.sweep import (count_sweep_shards, resolve_jobs, run_sharded,
-                         run_sweep, sharded_analyze, sharded_campaign,
-                         sharded_lint, sharded_lintval,
+from repro.sweep import (resolve_jobs, run_sharded, sharded_analyze,
+                         sharded_campaign, sharded_lint, sharded_lintval,
                          sharded_metrics)
 from repro.workloads import UnknownSelection, all_workloads, get
 
@@ -137,37 +136,6 @@ def test_sharded_lintval_rejects_unknown_class(jobs, monkeypatch):
                         jobs=jobs)
 
 
-# -- the matrix driver -------------------------------------------------------
-
-
-def test_run_sweep_writes_deterministic_artifacts(tmp_path):
-    a = tmp_path / "a"
-    b = tmp_path / "b"
-    for out, jobs in ((a, 1), (b, 2)):
-        summary = run_sweep(targets=("lint", "campaign"), jobs=jobs,
-                            out_dir=str(out))
-        assert summary.ok
-        assert len(summary.artifacts) == 2
-    for name in ("lint-flow.json", "faults-smoke-flow.json"):
-        assert (a / name).read_bytes() == (b / name).read_bytes()
-
-
-def test_run_sweep_rejects_unknown_target(monkeypatch):
-    monkeypatch.setattr("repro.sweep.drivers.run_sharded", _no_shards)
-    with pytest.raises(UnknownSelection):
-        run_sweep(targets=("lint", "no-such"), jobs=1)
-
-
-def test_run_sweep_ticks_once_per_counted_shard():
-    ticks: list = []
-    summary = run_sweep(targets=("campaign",), jobs=1,
-                        shard_progress=ticks.append)
-    assert summary.ok
-    assert len(ticks) == count_sweep_shards(
-        targets=("campaign",), engines=("closures",),
-        levels=("flow",)) == 4
-
-
 # -- CLI ---------------------------------------------------------------------
 
 
@@ -196,8 +164,15 @@ def test_cli_metrics_timing_trace_keeps_pipeline_spans(jobs, tmp_path,
                  "--quiet"]) == 0
     capsys.readouterr()
     doc = json.loads(trace.read_text())
-    names = {e["name"] for e in doc["traceEvents"] if e["ph"] == "X"}
-    assert {"shard", "workload", "parse", "cure", "exec"} <= names
+    xs = [e for e in doc["traceEvents"] if e["ph"] == "X"]
+    assert {"shard", "workload", "parse", "cure", "exec"} \
+        <= {e["name"] for e in xs}
+    if jobs == "2":
+        # one merged timeline: each worker's spans on its own lane
+        assert len({e["pid"] for e in xs}) >= 2
+        lanes = [e["args"]["name"] for e in doc["traceEvents"]
+                 if e["ph"] == "M" and e["name"] == "process_name"]
+        assert sum("worker" in name for name in lanes) >= 2
 
 
 BAD_SELECTIONS = [
@@ -213,9 +188,6 @@ BAD_SELECTIONS = [
     (["lint", "--workload", "nope"], "unknown workload 'nope'"),
     (["metrics", "--workload", "nope"], "unknown workload 'nope'"),
     (["analyze", "--workload", "nope"], "unknown workload 'nope'"),
-    (["profile", "--workload", "nope"], "unknown workload 'nope'"),
-    (["sweep", "--targets", "lint,nope"],
-     "unknown sweep target 'nope'"),
     (["bench", "olden_bisort", "--scale", "2", "--tools",
       "ccured,purfy"], "unknown tool 'purfy'"),
     (["bench", "olden_bisort", "--tools", "valgrnd"],
@@ -255,13 +227,10 @@ def test_cli_rejects_invalid_jobs(capsys):
     assert "invalid --jobs" in capsys.readouterr().err
 
 
-def test_cli_sweep_and_cache_stats(tmp_path, capsys):
-    out = tmp_path / "artifacts"
-    assert main(["sweep", "--targets", "lint", "--jobs", "2",
-                 "--quiet", "--out", str(out)]) == 0
-    text = capsys.readouterr().out
-    assert "lint-flow" in text
-    assert (out / "lint-flow.json").exists()
+def test_cli_sweep_and_cache_stats(capsys):
+    assert main(["lint", "--workload", "olden_power,ptrdist_anagram",
+                 "--jobs", "2", "--quiet", "--format", "json"]) == 0
+    json.loads(capsys.readouterr().out)
     assert main(["cache", "stats"]) == 0
     assert "cure cache at" in capsys.readouterr().out
     assert main(["cache", "stats", "--json", "-"]) == 0
@@ -365,30 +334,6 @@ def test_sharded_metrics_traced_output_byte_identical():
     assert events & {"hit", "miss"}
 
 
-def test_run_sweep_trace_merges_dispatch_and_workers(tmp_path):
-    trace: list = []
-    summary = run_sweep(targets=("lint",), jobs=2, trace=trace)
-    assert summary.ok
-    names = {r.name for r in trace}
-    assert "dispatch" in names and "shard" in names
-    assert len({r.pid for r in trace}) >= 3  # parent + 2 workers
-
-
-def test_cli_sweep_trace_chrome_file(tmp_path, capsys):
-    trace = tmp_path / "sweep-trace.json"
-    assert main(["sweep", "--targets", "lint", "--jobs", "2",
-                 "--quiet", "--trace", str(trace)]) == 0
-    capsys.readouterr()
-    doc = json.loads(trace.read_text())
-    assert doc["displayTimeUnit"] == "ms"
-    xs = [e for e in doc["traceEvents"] if e.get("ph") == "X"]
-    assert len({e["pid"] for e in xs}) >= 3
-    assert {e["name"] for e in xs} >= {"dispatch", "shard"}
-    lanes = [e for e in doc["traceEvents"]
-             if e.get("ph") == "M" and e["name"] == "process_name"]
-    assert sum("worker" in m["args"]["name"] for m in lanes) >= 2
-
-
 # -- PR 10: the --progress line ----------------------------------------------
 
 
@@ -445,10 +390,3 @@ def test_cli_progress_never_contaminates_stdout(capsys):
     json.loads(out)                      # stdout is pure JSON
     assert "\r" not in out and "shards]" not in out
     assert "shards]" not in err          # non-TTY stderr: suppressed
-    assert main(["sweep", "--targets", "lint", "--jobs", "2",
-                 "--progress", "--json", "-", "--quiet"]) == 0
-    out, err = capsys.readouterr()
-    # --json - interleaves with the summary table; the JSON document
-    # comes first and must be uncontaminated
-    assert "\r" not in out and "shards]" not in out
-    assert "shards]" not in err
