@@ -164,15 +164,8 @@ def test_cli_metrics_timing_trace_keeps_pipeline_spans(jobs, tmp_path,
                  "--quiet"]) == 0
     capsys.readouterr()
     doc = json.loads(trace.read_text())
-    xs = [e for e in doc["traceEvents"] if e["ph"] == "X"]
-    assert {"shard", "workload", "parse", "cure", "exec"} \
-        <= {e["name"] for e in xs}
-    if jobs == "2":
-        # one merged timeline: each worker's spans on its own lane
-        assert len({e["pid"] for e in xs}) >= 2
-        lanes = [e["args"]["name"] for e in doc["traceEvents"]
-                 if e["ph"] == "M" and e["name"] == "process_name"]
-        assert sum("worker" in name for name in lanes) >= 2
+    names = {e["name"] for e in doc["traceEvents"] if e["ph"] == "X"}
+    assert {"shard", "workload", "parse", "cure", "exec"} <= names
 
 
 BAD_SELECTIONS = [
@@ -332,6 +325,23 @@ def test_sharded_metrics_traced_output_byte_identical():
     events = {r.attrs.get("event") for r in sink
               if r.name == "cache"}
     assert events & {"hit", "miss"}
+
+
+def test_cli_sweep_trace_chrome_file(tmp_path, capsys):
+    """A sharded sweep's --trace file is one merged Chrome timeline:
+    each worker's spans on its own named lane."""
+    trace = tmp_path / "sweep-trace.json"
+    assert main(["metrics", "--workload", "olden_power,ptrdist_anagram",
+                 "--jobs", "2", "--quiet", "--trace", str(trace)]) == 0
+    capsys.readouterr()
+    doc = json.loads(trace.read_text())
+    assert doc["displayTimeUnit"] == "ms"
+    xs = [e for e in doc["traceEvents"] if e.get("ph") == "X"]
+    assert len({e["pid"] for e in xs}) >= 2
+    assert {e["name"] for e in xs} >= {"shard", "workload"}
+    lanes = [e for e in doc["traceEvents"]
+             if e.get("ph") == "M" and e["name"] == "process_name"]
+    assert sum("worker" in m["args"]["name"] for m in lanes) >= 2
 
 
 # -- PR 10: the --progress line ----------------------------------------------
