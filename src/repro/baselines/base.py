@@ -55,7 +55,7 @@ class ShadowChecker:
 
     def on_alloc(self, home: Home) -> None: ...
 
-    def on_free(self, home: Home) -> None: ...
+    def on_free(self, addr: int, home: Optional[Home]) -> None: ...
 
     # -- helpers ----------------------------------------------------------
 
@@ -83,16 +83,17 @@ class ShadowChecker:
 class HeapShadowChecker(ShadowChecker):
     """The shadow Purify and Valgrind both keep: which heap blocks are
     live, behind red zones.  An access to an unmapped address (a red
-    zone), to a freed heap block or past a heap block's end, and a
-    free of anything but a live heap block, is reported.  Stack and
-    global accesses are not validated: both tools' documented blind
-    spot (the access lands *somewhere* mapped, which the memory model
-    already guarantees).
+    zone), to a freed heap block or past a heap block's end is
+    reported, and so is a free of anything but the start of a live
+    heap block.  Stack and global accesses are not validated: both
+    tools' documented blind spot (the access lands *somewhere* mapped,
+    which the memory model already guarantees).
 
     A tool gives its ``name`` and its ``messages``: one template per
-    violation (``bad_free``, ``unmapped``, ``freed``, ``overrun``),
-    formatted with ``what`` (read/write), ``rw`` (R/W), ``size``,
-    ``addr`` and ``block`` (the heap block's name)."""
+    violation (``non_heap_free``, ``interior_free``, ``double_free``,
+    ``unmapped``, ``freed``, ``overrun``), formatted with ``what``
+    (read/write), ``rw`` (R/W), ``size``, ``addr`` and ``block`` (the
+    heap block's name)."""
 
     wants_redzones = True
     messages: dict[str, str] = {}
@@ -107,9 +108,13 @@ class HeapShadowChecker(ShadowChecker):
         self._live_heap[home.hid] = True
         self._count_alloc(home)
 
-    def on_free(self, home: Home) -> None:
+    def on_free(self, addr: int, home: Optional[Home]) -> None:
+        if home is None or home.region != "heap":
+            self._report("non_heap_free", addr=addr)
+        if addr != home.base:
+            self._report("interior_free", addr=addr, block=home.name)
         if not self._live_heap.get(home.hid, False):
-            self._report("bad_free")
+            self._report("double_free", addr=addr, block=home.name)
         self._live_heap[home.hid] = False
         self._count_free()
 

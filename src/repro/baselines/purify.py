@@ -19,7 +19,8 @@ Our shadow state tracks heap addressability only (the shared
 accesses are deliberately not validated, reproducing the blind spots
 above.  Messages start with a Purify-style code: AB{R,W} for an
 array-bounds read or write, F{R,W} for a freed-memory read or write,
-FNH for freeing non-heap memory.
+FNH for freeing non-heap memory, FIM for freeing a pointer into the
+middle of a heap block, FUM for freeing a block already freed.
 """
 
 from __future__ import annotations
@@ -30,7 +31,11 @@ from repro.baselines.base import HeapShadowChecker
 class PurifyChecker(HeapShadowChecker):
     name = "purify"
     messages = {
-        "bad_free": "FNH: freeing non-heap block",
+        "non_heap_free": "FNH: freeing non-heap memory at 0x{addr:x}",
+        "interior_free": "FIM: freeing invalid memory at 0x{addr:x} "
+                         "inside heap block {block}",
+        "double_free": "FUM: freeing unallocated memory at 0x{addr:x}: "
+                       "heap block {block} was freed",
         "unmapped": "AB{rw}: {what} of {size} bytes at 0x{addr:x} in a "
                     "red zone or unallocated memory",
         "freed": "F{rw}: {what} to freed heap block {block}",

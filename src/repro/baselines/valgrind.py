@@ -30,7 +30,11 @@ from repro.baselines.base import HeapShadowChecker
 class ValgrindChecker(HeapShadowChecker):
     name = "valgrind"
     messages = {
-        "bad_free": "invalid free() of non-heap address",
+        "non_heap_free": "Invalid free() of 0x{addr:x}: not malloc'd",
+        "interior_free": "Invalid free() of 0x{addr:x}: inside {block}, "
+                         "not its start",
+        "double_free": "Invalid free() of 0x{addr:x}: {block} was "
+                       "freed",
         "unmapped": "Invalid {what} of size {size} at 0x{addr:x} "
                     "(unaddressable)",
         "freed": "Invalid {what} of size {size}: {block} was freed",

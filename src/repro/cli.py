@@ -28,15 +28,15 @@ Usage (also available as ``python -m repro``)::
     python -m repro metrics --all-workloads --json
                                            # deterministic pipeline
                                            # metrics (checks, kinds,
-                                           # per-site histograms)
+                                           # per-site histograms), the
+                                           # report CI diffs byte for
+                                           # byte against its baseline
     python -m repro metrics --workload NAME --timing
                                            # + wall seconds per phase
     python -m repro metrics --all-workloads --jobs 2 --trace out.json
                                            # one merged Chrome trace:
                                            # every worker's spans on
                                            # real pid/tid lanes
-    python -m repro metrics diff --baseline old.json --fail-on-regress
-                                           # CI regression gate
     python -m repro explain NAME|FILE      # blame chains + root-cause
                                            # ranking per pointer kind
     python -m repro explain diff --baseline a.json --current b.json
@@ -59,14 +59,16 @@ failures exit with status 99 after printing the check that fired,
 mirroring how a cured binary aborts with a check message.  Every
 command prints one line on stderr and exits 3 when the front end
 rejects a C file (``file:line:col: message``: a syntax error, a
-preprocessing error or an unsupported construct), and exits 4 when a
+preprocessing error or an unsupported construct), exits 4 when a
 run exceeds an interpreter limit (the step budget, the call depth,
-the heap or the stdout size).
+the heap or the stdout size), and exits 141 without a traceback when
+the reader of its stdout goes away (``repro faults list | head -1``).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -87,6 +89,9 @@ SAFETY_EXIT = 99
 REJECT_EXIT = 3
 #: a run exceeded an interpreter limit
 LIMIT_EXIT = 4
+#: stdout's reader went away: 128 + SIGPIPE, the status a shell reports
+#: for a C filter that the signal ends
+PIPE_EXIT = 141
 
 
 def _read_source(path: str) -> str:
@@ -563,42 +568,9 @@ def _select_workloads(names: Optional[str], all_workloads: bool):
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    from repro.obs import (Thresholds, diff_reports, load_json,
-                           render_diff, render_report, stable_dumps)
+    from repro.obs import render_report, stable_dumps
     from repro.sweep import sharded_metrics
 
-    if getattr(args, "metrics_command", None) == "diff":
-        baseline = load_json(args.baseline)
-        if args.current:
-            current = load_json(args.current)
-        else:
-            # Collect a fresh report under the baseline's own
-            # configuration, over the full suite (so brand-new
-            # workloads surface as notes).
-            from repro.workloads import all_workloads
-            report = sharded_metrics(
-                list(all_workloads()),
-                engine=baseline.get("engine", "closures"),
-                optimize=baseline.get("optimize"),
-                scale=baseline.get("scale"),
-                jobs=args.jobs,
-                progress=None if args.quiet else _echo)
-            current = report.to_json()
-        res = diff_reports(baseline, current, Thresholds(
-            checks_pct=args.max_checks_pct,
-            cycles_pct=args.max_cycles_pct,
-            elided_drop=args.max_elided_drop,
-            phase_pct=args.max_phase_pct))
-        print(render_diff(res, verbose=args.verbose))
-        if not res.ok:
-            if args.fail_on_regress:
-                print("metrics diff: regression gate FAILED",
-                      file=sys.stderr)
-                return 2
-            return 1
-        return 0
-
-    # run mode: collect and emit a report
     selected = _select_workloads(args.workload, args.all_workloads)
     if not selected:
         print("metrics: give --workload NAME[,NAME...] or "
@@ -840,8 +812,7 @@ def build_parser() -> argparse.ArgumentParser:
                                json_path=True, json_const=True,
                                progress=True)],
         help="pipeline observability: per-phase timings, check-site "
-             "histograms, pointer-kind distributions, and regression "
-             "diffs")
+             "histograms and pointer-kind distributions")
     p_met.add_argument("--workload", default=None, metavar="NAMES",
                        help="comma list of workloads to measure")
     p_met.add_argument("--all-workloads", action="store_true",
@@ -853,8 +824,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="check-elimination level (default: flow)")
     p_met.add_argument("--timing", action="store_true",
                        help="also collect per-phase wall times "
-                            "(non-deterministic; excluded from the "
-                            "regression gate)")
+                            "(non-deterministic; never in the "
+                            "committed baseline)")
     p_met.add_argument("--trace", default=None, metavar="PATH",
                        help="write pipeline spans as Chrome "
                             "trace_event JSON (load in "
@@ -862,54 +833,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_met.add_argument("--provenance", action="store_true",
                        help="record blame provenance and include "
                             "per-state root-cause counts in the "
-                            "report (gated by `metrics diff`)")
+                            "report (not in CI's gate; compare two "
+                            "reports with diff -u)")
     p_met.add_argument("--temporal", action="store_true",
                        help="also cure+run each workload with "
                             "lock-and-key temporal checking and "
                             "include its CHECK_ALIVE counts and "
-                            "cycle overhead (gated by "
-                            "`metrics diff`)")
+                            "cycle overhead (not in CI's gate; "
+                            "compare two reports with diff -u)")
     p_met.add_argument("--top", type=int, default=5, metavar="N",
                        help="hottest check sites listed per workload "
                             "in table output")
     _add_engine_flag(p_met)
-    p_met.set_defaults(fn=cmd_metrics, metrics_command=None)
-    msub = p_met.add_subparsers(dest="metrics_command")
-    p_mdiff = msub.add_parser(
-        "diff",
-        parents=[_shared_flags(jobs=True, quiet=True)],
-        help="compare a metrics report against a baseline and gate "
-             "on regressions")
-    p_mdiff.add_argument("--baseline", required=True, metavar="PATH",
-                         help="the committed baseline report")
-    p_mdiff.add_argument("--current", default=None, metavar="PATH",
-                         help="a freshly collected report (omitted: "
-                              "collect one now under the baseline's "
-                              "configuration)")
-    p_mdiff.add_argument("--fail-on-regress", action="store_true",
-                         help="exit 2 on any regression (the CI "
-                              "gate); without this, regressions "
-                              "still exit 1")
-    p_mdiff.add_argument("--max-checks-pct", type=float, default=0.0,
-                         metavar="PCT",
-                         help="allowed %% growth in checks executed "
-                              "or surviving per workload (default 0)")
-    p_mdiff.add_argument("--max-cycles-pct", type=float, default=0.0,
-                         metavar="PCT",
-                         help="allowed %% growth in cured cycles per "
-                              "workload (default 0)")
-    p_mdiff.add_argument("--max-elided-drop", type=int, default=0,
-                         metavar="N",
-                         help="allowed drop in statically elided "
-                              "checks per workload (default 0)")
-    p_mdiff.add_argument("--max-phase-pct", type=float, default=50.0,
-                         metavar="PCT",
-                         help="allowed %% growth in per-phase wall "
-                              "time when both reports carry timings")
-    p_mdiff.add_argument("--verbose", action="store_true",
-                         help="print improvements and notes, not "
-                              "just regressions")
-    p_mdiff.set_defaults(fn=cmd_metrics)
+    p_met.set_defaults(fn=cmd_metrics)
 
     p_faults = sub.add_parser(
         "faults", help="seeded fault-injection campaigns")
@@ -982,7 +918,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        # a reader that left shows up here, not at interpreter exit
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # point stdout at /dev/null so the flush at exit cannot raise
+        # again over what is still buffered
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return PIPE_EXIT
     except UnknownSelection as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2

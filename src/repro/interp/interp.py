@@ -342,18 +342,18 @@ class Interpreter:
 
     def heap_free(self, p: PtrVal) -> None:
         home = self.mem.home_of(p.addr)
+        if self.shadow is not None:
+            # the shadow checker must observe every free *attempt* —
+            # including non-heap, interior and double frees, which raw
+            # execution otherwise swallows silently — so that
+            # Purify/Valgrind-style baselines report them at the free
+            self.shadow.on_free(p.addr, home)
         if home is None or home.region != "heap":
             if self.cured:
                 raise attach_failure(
                     InvalidFreeError("free of non-heap pointer"),
                     check="FREE", function=self._current_function())
             return
-        if self.shadow is not None:
-            # the shadow checker must observe every free *attempt* on a
-            # resolved heap block — including interior and double frees,
-            # which raw execution otherwise swallows silently — so that
-            # Purify/Valgrind-style baselines can flag them
-            self.shadow.on_free(home)
         if p.addr != home.base:
             # C requires the exact pointer malloc returned
             if self.cured:

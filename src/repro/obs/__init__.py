@@ -1,7 +1,6 @@
-"""Pipeline observability: structured tracing, per-site metrics, and
-regression diffing.
+"""Pipeline observability: structured tracing and per-site metrics.
 
-Three layers, importable without pulling the heavy pipeline modules:
+Importable without pulling the heavy pipeline modules:
 
 * :mod:`repro.obs.tracer` — span/event tracing with a shared global
   :data:`~repro.obs.tracer.TRACER`; zero-cost while disabled; its
@@ -9,10 +8,8 @@ Three layers, importable without pulling the heavy pipeline modules:
   (``repro metrics --timing``);
 * :mod:`repro.obs.metrics` — per-workload static/dynamic check and
   pointer-kind accounting (:class:`~repro.obs.metrics.MetricsReport`),
-  deterministic by construction;
-* :mod:`repro.obs.diff` — threshold-gated comparison of two reports,
-  the substrate of the CI regression gate
-  (``repro metrics diff --fail-on-regress``);
+  deterministic by construction, so two reports compare with
+  ``diff -u`` (CI's gate against ``baselines/metrics-baseline.json``);
 * :mod:`repro.obs.provenance` / :mod:`repro.obs.blame` — the blame
   graph recorded during inference and the explain/forensics layer on
   top of it (``repro explain``, failure blame chains).
@@ -22,8 +19,6 @@ from repro.obs.blame import (EXPLAIN_SCHEMA, BlameChain, BlameGraph,
                              diff_explain, explain_report,
                              render_chain, render_explain,
                              render_explain_diff)
-from repro.obs.diff import (DiffResult, Finding, Thresholds,
-                            diff_reports, render_diff)
 from repro.obs.provenance import (SEED_CAUSES, SPREAD_CAUSES,
                                   Provenance, describe)
 from repro.obs.metrics import (SCHEMA, MetricsReport, SiteStat,
@@ -42,8 +37,6 @@ __all__ = [
     "render_explain_diff",
     "SEED_CAUSES", "SPREAD_CAUSES", "Provenance", "describe",
     "chrome_trace", "write_chrome_trace",
-    "DiffResult", "Finding", "Thresholds", "diff_reports",
-    "render_diff",
     "SCHEMA", "MetricsReport", "SiteStat", "WorkloadMetrics",
     "collect_workload_metrics", "render_report",
     "site_table",

@@ -21,7 +21,7 @@ plus the per-check-site accounting CCured itself never had:
 Everything except the ``phases`` timings is a pure function of the
 program and the options, so a :class:`MetricsReport` serializes
 byte-identically across runs — the property the CI regression gate
-(:mod:`repro.obs.diff`) is built on.
+(``diff -u`` against ``baselines/metrics-baseline.json``) is built on.
 """
 
 from __future__ import annotations
@@ -34,8 +34,9 @@ from typing import Iterable, Optional
 from repro.cil import stmt as S
 from repro.cil.program import GFun, Program
 
-#: schema tag stamped into every serialized report, so the diff tool
-#: can refuse mismatched formats instead of mis-reading them.
+#: schema tag stamped into every serialized report, so a format
+#: change shows as a changed ``schema`` line in any diff against an
+#: older report.
 SCHEMA = "repro.obs.metrics/1"
 
 

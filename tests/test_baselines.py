@@ -2,6 +2,8 @@
 what they catch, what they miss, and their overhead shape versus
 CCured (the comparison underpinning Section 5 of the paper)."""
 
+import re
+
 import pytest
 
 from helpers import cure_src
@@ -53,6 +55,16 @@ int main(void) {
 }
 """
 
+DOUBLE_FREE = """
+#include <stdlib.h>
+int main(void) {
+  int *p = (int *)malloc(4);
+  free(p);
+  free(p);
+  return 0;
+}
+"""
+
 CLEAN = """
 #include <stdlib.h>
 int main(void) {
@@ -77,17 +89,8 @@ class TestDetection:
             run_raw(parse_program(USE_AFTER_FREE, "t"), shadow=tool())
 
     def test_double_free_caught(self, tool):
-        src = """
-        #include <stdlib.h>
-        int main(void) {
-          int *p = (int *)malloc(4);
-          free(p);
-          free(p);
-          return 0;
-        }
-        """
         with pytest.raises(BaselineViolation):
-            run_raw(parse_program(src, "t"), shadow=tool())
+            run_raw(parse_program(DOUBLE_FREE, "t"), shadow=tool())
 
     def test_stack_oob_missed(self, tool):
         # The paper: "these other tools do not catch out-of-bounds
@@ -137,6 +140,62 @@ def test_partial_heap_overrun_names_the_access(access, what, engine):
                     shadow=shadow, engine=engine)
         assert str(exc.value) == message
         assert shadow.errors_reported == 1
+
+
+NON_HEAP_FREE = """
+#include <stdlib.h>
+int g;
+int main(void) {
+  free(&g);
+  return 0;
+}
+"""
+
+INTERIOR_FREE = """
+#include <stdlib.h>
+int main(void) {
+  int *p = (int *)malloc(4 * sizeof(int));
+  p[0] = 1;
+  free(p + 2);
+  return p[0];
+}
+"""
+
+INVALID_FREE_MESSAGES = {
+    (NON_HEAP_FREE, PurifyChecker):
+        r"purify: FNH: freeing non-heap memory at 0x[0-9a-f]+",
+    (NON_HEAP_FREE, ValgrindChecker):
+        r"valgrind: Invalid free\(\) of 0x[0-9a-f]+: not malloc'd",
+    (INTERIOR_FREE, PurifyChecker):
+        r"purify: FIM: freeing invalid memory at 0x[0-9a-f]+ inside "
+        r"heap block malloc",
+    (INTERIOR_FREE, ValgrindChecker):
+        r"valgrind: Invalid free\(\) of 0x[0-9a-f]+: inside malloc, "
+        r"not its start",
+    (DOUBLE_FREE, PurifyChecker):
+        r"purify: FUM: freeing unallocated memory at 0x[0-9a-f]+: heap "
+        r"block malloc was freed",
+    (DOUBLE_FREE, ValgrindChecker):
+        r"valgrind: Invalid free\(\) of 0x[0-9a-f]+: malloc was freed",
+}
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("tool", [PurifyChecker, ValgrindChecker])
+@pytest.mark.parametrize("src", [NON_HEAP_FREE, INTERIOR_FREE,
+                                 DOUBLE_FREE],
+                         ids=["non-heap", "interior", "double"])
+def test_invalid_free_is_reported_at_the_free(src, tool, engine):
+    """``free(&g)``, ``free(p + 2)`` and a second ``free(p)`` are each
+    reported at the free, in the tool's own terms; the interior free
+    does not mark the block freed, so the valid read after it is never
+    blamed instead."""
+    shadow = tool()
+    with pytest.raises(BaselineViolation) as exc:
+        run_raw(parse_program(src, "t"), shadow=shadow, engine=engine)
+    assert re.fullmatch(INVALID_FREE_MESSAGES[src, tool],
+                        str(exc.value))
+    assert shadow.errors_reported == 1
 
 
 class TestCCuredCatchesWhatTheyMiss:

@@ -1,8 +1,14 @@
 """Tests for the command-line driver."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
-from repro.cli import LIMIT_EXIT, REJECT_EXIT, SAFETY_EXIT, main
+import repro
+from repro.cli import (LIMIT_EXIT, PIPE_EXIT, REJECT_EXIT, SAFETY_EXIT,
+                       main)
 
 HELLO = r'''
 #include <stdio.h>
@@ -125,6 +131,22 @@ class TestBadInput:
         assert main(["run", path]) == LIMIT_EXIT
         assert capsys.readouterr().err == (
             "[InterpreterLimitError] step budget exceeded\n")
+
+    def test_reader_of_stdout_gone(self):
+        # ``repro faults list | head -1``: the pipe's reader has left
+        # before the output is written
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(os.path.abspath(repro.__file__))))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "faults", "list"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env,
+                text=True, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (PIPE_EXIT, "")
 
 
 class TestAnalyze:

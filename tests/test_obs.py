@@ -1,6 +1,5 @@
-"""Tests for the observability layer: tracer, metrics, diff, CLI."""
+"""Tests for the observability layer: tracer, metrics, CLI."""
 
-import copy
 import json
 
 import pytest
@@ -8,10 +7,9 @@ import pytest
 from repro.cli import main
 from repro.core import CureOptions, cure
 from repro.interp import ENGINES, run_cured
-from repro.obs import (SCHEMA, TRACER, Thresholds,
-                       collect_workload_metrics, diff_reports,
-                       render_diff, render_report, round_floats,
-                       site_table, stable_dumps)
+from repro.obs import (SCHEMA, TRACER, collect_workload_metrics,
+                       render_report, round_floats, site_table,
+                       stable_dumps)
 from repro.obs.tracer import (SpanRecord, Tracer, phase_key,
                               phase_seconds_of)
 from repro.sweep import sharded_metrics
@@ -234,91 +232,6 @@ class TestMetrics:
         assert s.endswith("\n")
 
 
-class TestDiff:
-    @pytest.fixture(scope="class")
-    def report_json(self):
-        report = sharded_metrics([get("olden_power"),
-                                  get("olden_treeadd")])
-        return report.to_json()
-
-    def test_identical_reports_are_clean(self, report_json):
-        res = diff_reports(report_json, report_json)
-        assert res.ok
-        assert res.findings == []
-        assert "0 regression(s)" in render_diff(res)
-
-    def test_checks_regression_detected(self, report_json):
-        cur = copy.deepcopy(report_json)
-        cur["workloads"][0]["checks_executed"] += 1
-        res = diff_reports(report_json, cur)
-        assert not res.ok
-        assert any(f.metric == "checks_executed"
-                   for f in res.regressions)
-
-    def test_threshold_allows_small_growth(self, report_json):
-        cur = copy.deepcopy(report_json)
-        base = cur["workloads"][0]["checks_executed"]
-        cur["workloads"][0]["checks_executed"] = int(base * 1.04)
-        th = Thresholds(checks_pct=5.0)
-        assert diff_reports(report_json, cur, th).ok
-        th = Thresholds(checks_pct=1.0)
-        assert not diff_reports(report_json, cur, th).ok
-
-    def test_improvement_is_not_a_regression(self, report_json):
-        cur = copy.deepcopy(report_json)
-        cur["workloads"][0]["cured_cycles"] -= 1
-        res = diff_reports(report_json, cur)
-        assert res.ok
-        assert any(f.severity == "improve" for f in res.findings)
-
-    def test_elision_drop_regresses(self, report_json):
-        cur = copy.deepcopy(report_json)
-        cur["workloads"][0]["checks_removed"] -= 1
-        res = diff_reports(report_json, cur)
-        assert any(f.metric == "checks_removed"
-                   for f in res.regressions)
-        assert diff_reports(report_json, cur,
-                            Thresholds(elided_drop=1)).ok
-
-    def test_missing_workload_regresses(self, report_json):
-        cur = copy.deepcopy(report_json)
-        del cur["workloads"][0]
-        res = diff_reports(report_json, cur)
-        assert any(f.metric == "missing-workload"
-                   for f in res.regressions)
-
-    def test_new_workload_is_a_note(self, report_json):
-        base = copy.deepcopy(report_json)
-        del base["workloads"][0]
-        res = diff_reports(base, report_json)
-        assert res.ok
-        assert any(f.metric == "new-workload" for f in res.findings)
-
-    def test_new_check_site_is_a_note(self, report_json):
-        cur = copy.deepcopy(report_json)
-        cur["workloads"][0]["sites"].append(
-            {"site": 999, "function": "brand_new",
-             "kind": "CHECK_NULL", "hits": 0})
-        res = diff_reports(report_json, cur,
-                           Thresholds(checks_pct=100.0))
-        assert any(f.metric == "new-check-site" for f in res.findings)
-
-    def test_schema_mismatch_short_circuits(self, report_json):
-        bad = copy.deepcopy(report_json)
-        bad["schema"] = "something/else"
-        res = diff_reports(report_json, bad)
-        assert [f.metric for f in res.regressions] == ["schema"]
-
-    def test_phase_gate_needs_both_sides(self, report_json):
-        base = copy.deepcopy(report_json)
-        cur = copy.deepcopy(report_json)
-        cur["workloads"][0]["phases"] = {"cure": 1.0}
-        assert diff_reports(base, cur).ok  # baseline has no timings
-        base["workloads"][0]["phases"] = {"cure": 0.1}
-        res = diff_reports(base, cur)
-        assert any(f.metric == "phase:cure" for f in res.regressions)
-
-
 class TestMetricsCLI:
     def test_table_output(self, capsys):
         assert main(["metrics", "--workload", "olden_power",
@@ -340,27 +253,6 @@ class TestMetricsCLI:
     def test_unknown_workload_fails(self, capsys):
         assert main(["metrics", "--workload", "no_such"]) == 2
         assert "unknown workload" in capsys.readouterr().err
-
-    def test_diff_gate_passes_then_fails(self, tmp_path, capsys):
-        base = str(tmp_path / "base.json")
-        assert main(["metrics", "--workload", "olden_power",
-                     "--json", base, "--quiet"]) == 0
-        assert main(["metrics", "diff", "--baseline", base,
-                     "--current", base, "--fail-on-regress"]) == 0
-        payload = json.load(open(base))
-        payload["workloads"][0]["checks_executed"] += 50
-        regressed = tmp_path / "regressed.json"
-        regressed.write_text(json.dumps(payload))
-        capsys.readouterr()
-        assert main(["metrics", "diff", "--baseline", base,
-                     "--current", str(regressed),
-                     "--fail-on-regress"]) == 2
-        out = capsys.readouterr()
-        assert "REGRESS" in out.out
-        assert "FAILED" in out.err
-        # without the gate flag, regressions exit 1
-        assert main(["metrics", "diff", "--baseline", base,
-                     "--current", str(regressed)]) == 1
 
 
 class TestCrossProcessSpans:

@@ -362,36 +362,6 @@ class TestMetricsIntegration:
         assert wm.root_causes is None
         assert "root_causes" not in wm.to_json()
 
-    def test_diff_gates_root_cause_growth(self):
-        from repro.obs import diff_reports
-        from repro.obs.metrics import SCHEMA
-
-        def report(rc):
-            return {"schema": SCHEMA, "workloads": [{
-                "name": "w", "checks_executed": 1, "cured_cycles": 1,
-                "checks_surviving": 1, "checks_removed": 0,
-                "sites": [], "root_causes": rc}]}
-
-        base = report({"WILD": {"bad-cast: f": 2}})
-        worse = report({"WILD": {"bad-cast: f": 5}})
-        res = diff_reports(base, worse)
-        regress = [f for f in res.regressions
-                   if f.metric == "root-cause:WILD"]
-        assert regress and regress[0].detail == "bad-cast: f"
-        better = diff_reports(worse, base)
-        assert better.ok
-        assert any(f.severity == "improve"
-                   and f.metric == "root-cause:WILD"
-                   for f in better.findings)
-
-    def test_diff_skips_root_causes_when_absent(self):
-        from repro.obs import diff_reports
-        from repro.obs.metrics import SCHEMA
-        plain = {"schema": SCHEMA, "workloads": [{
-            "name": "w", "checks_executed": 1, "cured_cycles": 1,
-            "checks_surviving": 1, "checks_removed": 0, "sites": []}]}
-        assert diff_reports(plain, plain).ok
-
 
 class TestChromeTrace:
     def test_trace_event_structure(self):
